@@ -29,6 +29,7 @@ from repro.phy.radio import Radio
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Simulator
+    from repro.sim.events import Event
 
 #: Modes a link can rest in between transfers, ordered by depth.
 LOW_POWER_MODES = ("connected", "sniff", "hold", "park")
@@ -108,8 +109,8 @@ class BluetoothLink:
 
     # -- mode control -------------------------------------------------------------
 
-    def set_mode(self, mode: str):
-        """Move the link to ``mode``; yield the returned process to wait.
+    def set_mode(self, mode: str) -> "Event":
+        """Move the link to ``mode``; yield the returned event to wait.
 
         Valid targets are the low-power modes plus ``active`` and ``off``.
         """

@@ -26,7 +26,7 @@ from repro.sim.events import AnyOf as _AnyOf
 from repro.sim.events import Event
 from repro.sim.events import Timeout as _Timeout
 from repro.sim.resources import Store
-from repro.sim.streams import Random
+from repro.sim.streams import Random, stable_seed
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mac.powersave import PowerPolicy
@@ -66,7 +66,8 @@ class DcfStation:
         Simulator, channel and this station's unique address.
     rng:
         Random stream for backoff draws (one per station keeps runs
-        reproducible under composition).
+        reproducible under composition).  Defaults to a stream seeded
+        from ``address`` alone, identical in every interpreter.
     config:
         DCF parameters.
     radio:
@@ -96,7 +97,7 @@ class DcfStation:
         self.sim = sim
         self.medium = medium
         self.address = address
-        self.rng = rng or Random(hash(address) & 0xFFFF)
+        self.rng = rng or Random(stable_seed(0, address))
         self.config = config or DcfConfig()
         self.radio = radio
         self.on_receive = on_receive
@@ -421,9 +422,16 @@ class DcfStation:
         and virtual carrier sense (the NAV set by overheard RTS/CTS
         duration fields) must be clear.
 
-        This is the hottest generator in the simulator (one AnyOf race
-        per backoff slot), so everything it touches per slot is bound to
-        a local first and event state is read straight from the slots.
+        Each idle period is one race: a single absolute timer for the
+        DIFS plus every remaining backoff slot, against one ``wait_busy``
+        event.  The fire time is built by repeated addition (DIFS end,
+        then ``+ slot_s`` per slot) -- the same floats a slot-by-slot
+        countdown would reach -- so transmit instants are exact.  When
+        the medium goes busy at time T the countdown freezes, and every
+        slot whose boundary is <= T counts as elapsed: a transmission
+        starting exactly on a boundary is signalled at least one
+        zero-delay hop after that boundary's instant, by which time a
+        slot-by-slot countdown would already have counted the slot.
         """
         timing = self.timing
         backoff_slots = self.rng.randint(0, contention_window)
@@ -439,37 +447,33 @@ class DcfStation:
             )
         medium = self.medium
         address = self.address
-        wait_busy = medium.wait_busy
-        is_idle_for = medium.is_idle_for
-        any_of = _AnyOf
-        make_timeout = _Timeout
         slot_s = timing.slot_s
         difs_s = timing.difs_s
         while True:
-            if not is_idle_for(address):
+            if not medium.is_idle_for(address):
                 yield medium.wait_idle(address)
             now = sim._now
             if now < self._nav_until:
-                yield make_timeout(sim, self._nav_until - now)
+                yield _Timeout(sim, self._nav_until - now)
                 continue
-            # The channel must stay idle for a full DIFS.
-            busy = wait_busy(address)
-            difs = make_timeout(sim, difs_s)
-            yield any_of(sim, (difs, busy))
-            if busy._state == 2:  # processed: went busy during DIFS
-                continue
-            # Count the backoff down one slot at a time, freezing on busy.
-            interrupted = False
+            busy = medium.wait_busy(address)
+            difs_end = fire_at = now + difs_s
+            for _ in range(backoff_slots):
+                fire_at += slot_s
+            (countdown,) = sim.bulk_timeouts((fire_at,))
+            yield _AnyOf(sim, (countdown, busy))
+            if busy._state != 2:  # not processed: the countdown finished
+                return
+            # Frozen: keep the slots whose boundary was reached.
+            busy_at = sim._now
+            boundary = difs_end
             while backoff_slots > 0:
-                busy = wait_busy(address)
-                slot = make_timeout(sim, slot_s)
-                yield any_of(sim, (slot, busy))
-                if busy._state == 2:
-                    interrupted = True
+                boundary += slot_s
+                if boundary > busy_at:
                     break
                 backoff_slots -= 1
-            if not interrupted:
-                return
+            if bus.enabled:
+                bus.emit("mac", address, "freeze", slots=backoff_slots)
 
     def _on_air(self, frame: Frame):
         """Put a frame on the medium, driving the radio's tx state."""

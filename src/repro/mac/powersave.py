@@ -29,8 +29,8 @@ Determinism rules (pinned by the golden-equivalence tests):
   verbatim event sequence the checked-in goldens pin.
 - Policy dispatch stays off the DCF hot path: a station without a
   policy (``power_policy=None``) takes exactly the pre-seam code path,
-  and the per-slot backoff loop in ``DcfStation._contention`` never
-  consults the policy.
+  and the one-timer backoff countdown in ``DcfStation._contention``
+  never consults the policy.
 
 μNap (:class:`MicroNapPolicy`) follows Azcorra et al., *μNap: Practical
 micro-sleeps for 802.11 WLANs* (PAPERS.md): a station that overhears a

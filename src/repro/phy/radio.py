@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
 
-from repro.sim.process import Process
+from repro.sim.events import Event, Timeout
 from repro.sim.stats import TimeSeries, TimeWeightedStat
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -232,29 +232,44 @@ class Radio:
 
     # -- state control ----------------------------------------------------------
 
-    def transition_to(self, target: str) -> Process:
-        """Start a transition; yield the returned process to wait for it.
+    def transition_to(self, target: str) -> Event:
+        """Start a transition; yield the returned event to wait for it.
 
         A transition to the current state completes immediately and costs
         nothing.  Starting a transition while another is in progress is an
         error — the caller (MAC/resource manager) owns serialisation.
-        """
-        return self.sim.process(
-            self._transition_body(target), name=f"{self.name}->{target}"
-        )
 
-    def _transition_body(self, target: str):
-        self.model._require(target)
-        if self._in_transition:
-            raise RuntimeError(
-                f"radio {self.name!r}: transition to {target!r} requested "
-                f"while already transitioning to {self._state!r}"
-            )
-        if target == self._state:
+        The transition starts one zero-delay hop from now (a "kick"
+        event) and the returned event succeeds one hop after it ends, the
+        same event sequence a process driving the transition would
+        schedule, without the process.  Errors fail the returned event,
+        so a failure nobody waits for still raises from ``Simulator.run``.
+        """
+        sim = self.sim
+        done = Event(sim)
+        kick = Event(sim)
+        kick.callbacks.append(lambda _kick: self._begin_transition(target, done))
+        kick.succeed()
+        return done
+
+    def _begin_transition(self, target: str, done: Event) -> None:
+        try:
+            self.model._require(target)
+            if self._in_transition:
+                raise RuntimeError(
+                    f"radio {self.name!r}: transition to {target!r} requested "
+                    f"while already transitioning to {self._state!r}"
+                )
+        except Exception as exc:
+            done.fail(exc)
             return
-            yield  # pragma: no cover - generator marker
+        if target == self._state:
+            done.succeed()
+            return
+        sim = self.sim
+        now = sim._now
         cost = self.model.transition(self._state, target)
-        bus = self.sim.trace
+        bus = sim.trace
         if bus.enabled:
             bus.emit(
                 "phy",
@@ -262,7 +277,7 @@ class Radio:
                 "state",
                 source=self._state,
                 target=target,
-                dwell_s=self.sim.now - self._last_state_change,
+                dwell_s=now - self._last_state_change,
                 latency_s=cost.latency_s,
                 energy_j=cost.energy_j,
             )
@@ -274,17 +289,24 @@ class Radio:
             # During the transition the radio draws the transition's
             # average power.
             transition_power = cost.energy_j / cost.latency_s
-            self._power_trace.record(self.sim.now, transition_power)
-            self.state_series.append(self.sim.now, f"->{target}")
-            yield self.sim.timeout(cost.latency_s)
+            self._power_trace.record(now, transition_power)
+            self.state_series.append(now, f"->{target}")
+            Timeout(sim, cost.latency_s).callbacks.append(
+                lambda _timeout: self._end_transition(target, done)
+            )
         else:
             # Instantaneous transition: lump the energy as an impulse.
             self._power_trace.add_impulse(cost.energy_j)
+            self._end_transition(target, done)
+
+    def _end_transition(self, target: str, done: Event) -> None:
+        now = self.sim._now
         self._in_transition = False
         self._state = target
-        self._last_state_change = self.sim.now
-        self._power_trace.record(self.sim.now, self.model.power(target))
-        self.state_series.append(self.sim.now, target)
+        self._last_state_change = now
+        self._power_trace.record(now, self.model.power(target))
+        self.state_series.append(now, target)
+        done.succeed()
 
     def _account_state_time(self) -> None:
         held = self.sim.now - self._last_state_change

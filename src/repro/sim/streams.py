@@ -19,6 +19,17 @@ from typing import Dict
 Random = random.Random
 
 
+def stable_seed(seed: int, name: str) -> int:
+    """Seed for the stream called ``name`` under master ``seed``.
+
+    Stable across runs, interpreters and platforms, unlike ``hash(name)``,
+    which Python salts per interpreter for ``str``.
+    """
+    for char in name:
+        seed = (seed * 1000003 + ord(char)) % (2**63 - 1)
+    return seed
+
+
 class RandomStreams:
     """A factory of independent, reproducible :class:`random.Random` streams.
 
@@ -37,12 +48,7 @@ class RandomStreams:
         """Return (creating on first use) the substream called ``name``."""
         stream = self._streams.get(name)
         if stream is None:
-            # Derive a substream seed from (master seed, name) stably across
-            # runs and platforms; Python's hash() is salted, so build our own.
-            sub_seed = self.seed
-            for char in name:
-                sub_seed = (sub_seed * 1000003 + ord(char)) % (2**63 - 1)
-            stream = random.Random(sub_seed)
+            stream = random.Random(stable_seed(self.seed, name))
             self._streams[name] = stream
         return stream
 

@@ -20,6 +20,7 @@ from repro.exp import (
     run_campaign,
     scenario_names,
 )
+from repro.exp import scenarios
 
 CALLS = []
 
@@ -42,7 +43,13 @@ def fake_scenario(gain=1, seed=0, obs=None):
     return _FakeResult(gain, seed)
 
 
-register_scenario("test-fake", fake_scenario)
+@pytest.fixture(autouse=True, scope="module")
+def _fake_scenario_registered():
+    """Register the fake only while this module runs, so other modules
+    (the golden coverage check) see the product registry alone."""
+    register_scenario("test-fake", fake_scenario)
+    yield
+    scenarios._SCENARIOS.pop("test-fake")
 
 
 def fake_spec(**overrides):

@@ -26,8 +26,25 @@ from repro.exp import (
     run_campaign,
     sanitize_nonfinite,
 )
+from repro.exp import scenarios
 
 CALLS = []
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _fake_scenarios_registered():
+    """Register the fakes only while this module runs, so other modules
+    (the golden coverage check) see the product registry alone."""
+    fakes = {
+        "test-flaky": flaky_scenario,
+        "test-retry": retry_scenario,
+        "test-nan": nan_scenario,
+    }
+    for name, fn in fakes.items():
+        register_scenario(name, fn)
+    yield
+    for name in fakes:
+        scenarios._SCENARIOS.pop(name)
 
 
 class _Result:
@@ -53,9 +70,6 @@ def flaky_scenario(gain=1, seed=0, obs=None):
     if gain == 13:
         raise ValueError(f"unlucky gain {gain}")
     return _Result(gain, seed)
-
-
-register_scenario("test-flaky", flaky_scenario)
 
 
 def flaky_spec(**overrides):
@@ -181,9 +195,6 @@ def retry_scenario(seed=0, obs=None):
     return _Result(1, seed)
 
 
-register_scenario("test-retry", retry_scenario)
-
-
 class TestRetriesAndTimeouts:
     def test_transient_failure_recovered_by_retry(self):
         RETRY_STATE.update(failures_left=2, calls=0)
@@ -305,9 +316,6 @@ def nan_scenario(seed=0, obs=None):
             return dict(NAN_SCENARIO_RECORD)
 
     return R()
-
-
-register_scenario("test-nan", nan_scenario)
 
 
 class TestObsLifecycle:

@@ -1,5 +1,10 @@
 """Tests for the DCF station: contention, ACKs, retries, energy hooks."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.devices import wlan_cf_card
@@ -251,3 +256,63 @@ def test_dozing_radio_hears_nothing():
     sim.run()
     assert received == []
     assert a.frames_dropped == 1
+
+
+class _FixedDraw:
+    """Backoff "rng" that always draws ``slots`` (capped at the window)."""
+
+    def __init__(self, slots):
+        self.slots = slots
+
+    def randint(self, low, high):
+        return min(self.slots, high)
+
+
+def test_events_per_frame_do_not_grow_with_backoff_slots():
+    """The countdown is one timer, however many slots it spans."""
+
+    def events_per_frame(slots):
+        sim = Simulator()
+        medium = Medium(sim)
+        a = DcfStation(sim, medium, "a", rng=_FixedDraw(slots))
+        DcfStation(sim, medium, "b", rng=_FixedDraw(slots))
+
+        def sender(sim):
+            for _ in range(5):
+                yield a.send("b", 500)
+
+        sim.process(sender(sim))
+        sim.run()
+        assert a.frames_delivered == 5
+        return sim.events_scheduled / 5
+
+    per_frame = {slots: events_per_frame(slots) for slots in (0, 1, 7, 31)}
+    assert len(set(per_frame.values())) == 1, per_frame
+
+
+def test_default_backoff_stream_ignores_hash_salt():
+    """Stations built without an rng draw the same backoffs in every
+    interpreter, whatever PYTHONHASHSEED salts ``str`` hashing with."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    code = (
+        "from repro.mac import DcfStation, Medium\n"
+        "from repro.sim import Simulator\n"
+        "sim = Simulator()\n"
+        "station = DcfStation(sim, Medium(sim), 'sta0')\n"
+        "print([station.rng.randint(0, 1023) for _ in range(16)])\n"
+    )
+    outputs = set()
+    for salt in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=salt)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        outputs.add(run.stdout)
+    assert len(outputs) == 1, outputs

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.phy import PowerState, Radio, RadioPowerModel, Transition
-from repro.sim import Simulator
+from repro.sim import Event, Process, Simulator
 
 
 def two_state_model(**kwargs):
@@ -330,3 +330,59 @@ class TestDwellHistograms:
         radio = Radio(sim, two_state_model())
         with pytest.raises(KeyError):
             radio.dwell_histogram("ghost")
+
+
+class TestTransitionEvent:
+    """``transition_to`` returns a plain event and schedules exactly the
+    events a transition process did: a kick and a completion, plus the
+    latency timer when the transition takes time."""
+
+    def test_returns_a_waitable_event_not_a_process(self):
+        sim = Simulator()
+        radio = Radio(sim, two_state_model())
+        transition = radio.transition_to("sleep")
+        assert isinstance(transition, Event)
+        assert not isinstance(transition, Process)
+        woke = []
+
+        def waiter(sim):
+            value = yield transition
+            woke.append((sim.now, value, radio.state))
+
+        sim.process(waiter(sim))
+        sim.run()
+        assert woke == [(0.0, None, "sleep")]
+
+    @pytest.mark.parametrize(
+        "start, target, events",
+        [
+            ("on", "sleep", 2),  # zero latency: kick + done
+            ("on", "on", 2),  # no-op: kick + done
+            ("sleep", "on", 3),  # 0.5 s wake: kick + timer + done
+        ],
+    )
+    def test_events_scheduled_per_transition(self, start, target, events):
+        sim = Simulator()
+        radio = Radio(sim, two_state_model())
+        radio.force_state(start)
+        before = sim.events_scheduled
+        radio.transition_to(target)
+        sim.run()
+        assert radio.state == target
+        assert sim.events_scheduled - before == events
+
+    def test_waited_failure_is_thrown_into_the_waiter(self):
+        sim = Simulator()
+        radio = Radio(sim, two_state_model())
+        caught = []
+
+        def waiter(sim):
+            try:
+                yield radio.transition_to("warp")
+            except KeyError as exc:
+                caught.append(exc)
+
+        sim.process(waiter(sim))
+        sim.run()
+        assert len(caught) == 1
+        assert radio.state == "on"
