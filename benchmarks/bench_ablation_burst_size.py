@@ -13,7 +13,7 @@ is precisely why the paper starts clients there.)
 
 from conftest import run_once
 
-from repro.core import run_hotspot_scenario
+from repro.build import WorldBuilder, hotspot_world
 from repro.metrics import format_table
 
 DURATION_S = 60.0
@@ -23,14 +23,14 @@ BURSTS = (5_000, 10_000, 20_000, 40_000, 80_000, 160_000)
 def run_burst_sweep():
     rows = []
     for burst in BURSTS:
-        result = run_hotspot_scenario(
+        result = WorldBuilder(hotspot_world(
             n_clients=3,
             duration_s=DURATION_S,
             burst_bytes=burst,
             client_buffer_bytes=max(int(burst * 2.4), 24_000),
             server_prefetch_s=60.0,
             interfaces=("wlan",),
-        )
+        )).run()
         mean_burst = sum(c.bytes_received for c in result.clients) / max(
             sum(c.bursts for c in result.clients), 1
         )

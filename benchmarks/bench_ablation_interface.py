@@ -13,7 +13,8 @@ modelled via the quality signal steering only the adaptive policy).
 
 from conftest import run_once
 
-from repro.core import InterfaceSelectionPolicy, run_hotspot_scenario
+from repro.build import WorldBuilder, hotspot_world
+from repro.core import InterfaceSelectionPolicy
 from repro.metrics import format_table
 
 DURATION_S = 60.0
@@ -34,13 +35,13 @@ def run_interface_sweep():
         ),
     ]
     for label, interfaces, policy in configurations:
-        result = run_hotspot_scenario(
+        result = WorldBuilder(hotspot_world(
             n_clients=3,
             duration_s=DURATION_S,
             interfaces=interfaces,
             bluetooth_quality_script=SCRIPT,
             interface_policy=policy,
-        )
+        )).run()
         switchovers = sum(c.switchovers for c in result.clients)
         rows.append(
             {

@@ -11,10 +11,11 @@ power per configuration, plus the saving fraction.
 
 from conftest import run_once
 
-from repro.core import (
-    run_hotspot_scenario,
-    run_psm_baseline_scenario,
-    run_unscheduled_scenario,
+from repro.build import (
+    WorldBuilder,
+    hotspot_world,
+    psm_baseline_world,
+    unscheduled_world,
 )
 from repro.metrics import ascii_bar_chart, format_table
 from repro.metrics.energy import wnic_power_saving_fraction
@@ -24,13 +25,13 @@ DURATION_S = 120.0
 
 def run_figure2():
     rows = []
-    wlan = run_unscheduled_scenario("wlan", duration_s=DURATION_S)
-    bt = run_unscheduled_scenario("bluetooth", duration_s=DURATION_S)
-    psm = run_psm_baseline_scenario(duration_s=60.0)
-    hotspot = run_hotspot_scenario(
+    wlan = WorldBuilder(unscheduled_world("wlan", duration_s=DURATION_S)).run()
+    bt = WorldBuilder(unscheduled_world("bluetooth", duration_s=DURATION_S)).run()
+    psm = WorldBuilder(psm_baseline_world(duration_s=60.0)).run()
+    hotspot = WorldBuilder(hotspot_world(
         duration_s=DURATION_S,
         bluetooth_quality_script=[(0.0, 1.0), (90.0, 0.2)],
-    )
+    )).run()
     for result in (wlan, bt, psm, hotspot):
         rows.append(
             [

@@ -17,7 +17,7 @@ from pathlib import Path
 from conftest import run_once
 
 from repro.metrics import format_table
-from repro.net import run_fleet_hotspot_scenario
+from repro.build import WorldBuilder, fleet_hotspot_world
 
 DURATION_S = 60.0
 #: (n_clients, n_aps) — APs scale so each cell stays admissible.
@@ -31,12 +31,12 @@ def run_fleet_scaling():
     rows = []
     for n_clients, n_aps in FLEET_POINTS:
         started = time.perf_counter()
-        result = run_fleet_hotspot_scenario(
+        result = WorldBuilder(fleet_hotspot_world(
             n_clients=n_clients,
             n_aps=n_aps,
             duration_s=DURATION_S,
             seed=0,
-        )
+        )).run()
         runtime_s = time.perf_counter() - started
         events = result.sim_events
         rows.append(

@@ -13,7 +13,7 @@ power figures (Figure 2) and per-client QoS.
 Run:  python examples/mp3_hotspot_streaming.py
 """
 
-from repro.core import run_hotspot_scenario, run_unscheduled_scenario
+from repro.build import WorldBuilder, hotspot_world, unscheduled_world
 from repro.metrics import format_table, render_schedule_timeline
 from repro.metrics.energy import wnic_power_saving_fraction
 
@@ -22,13 +22,13 @@ def main() -> None:
     duration_s = 60.0
     degrade_at_s = 40.0
 
-    hotspot = run_hotspot_scenario(
+    hotspot = WorldBuilder(hotspot_world(
         n_clients=3,
         duration_s=duration_s,
         bitrate_bps=128_000.0,
         scheduler="edf",
         bluetooth_quality_script=[(0.0, 1.0), (degrade_at_s, 0.2)],
-    )
+    )).run()
 
     print("=" * 72)
     print("Figure 1 — sample schedule (X = data transfer, rows per WNIC)")
@@ -39,8 +39,12 @@ def main() -> None:
     print("=" * 72)
     print("Figure 2 — average power")
     print("=" * 72)
-    wlan_baseline = run_unscheduled_scenario("wlan", duration_s=duration_s)
-    bt_baseline = run_unscheduled_scenario("bluetooth", duration_s=duration_s)
+    wlan_baseline = WorldBuilder(
+        unscheduled_world("wlan", duration_s=duration_s)
+    ).run()
+    bt_baseline = WorldBuilder(
+        unscheduled_world("bluetooth", duration_s=duration_s)
+    ).run()
     rows = [
         [r.label, r.mean_wnic_power_w(), r.mean_total_power_w(), r.qos_maintained()]
         for r in (wlan_baseline, bt_baseline, hotspot)

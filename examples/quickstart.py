@@ -10,7 +10,7 @@ paper's "97 % WNIC power saving with QoS maintained".
 Run:  python examples/quickstart.py
 """
 
-from repro.core import run_hotspot_scenario, run_unscheduled_scenario
+from repro.build import WorldBuilder, hotspot_world, unscheduled_world
 from repro.metrics import format_table
 from repro.metrics.energy import wnic_power_saving_fraction
 
@@ -18,12 +18,12 @@ from repro.metrics.energy import wnic_power_saving_fraction
 def main() -> None:
     duration_s = 60.0
 
-    baseline = run_unscheduled_scenario("wlan", duration_s=duration_s)
-    hotspot = run_hotspot_scenario(
+    baseline = WorldBuilder(unscheduled_world("wlan", duration_s=duration_s)).run()
+    hotspot = WorldBuilder(hotspot_world(
         duration_s=duration_s,
         # Bluetooth degrades at t=45 s: the server switches to WLAN.
         bluetooth_quality_script=[(0.0, 1.0), (45.0, 0.2)],
-    )
+    )).run()
 
     rows = [
         [result.label, result.mean_wnic_power_w(), result.qos_maintained()]

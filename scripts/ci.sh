@@ -148,6 +148,18 @@ print("failure envelope ok:", error["type"], "-", error["message"])
 EOF
 echo "crash-resume ok: partial results, quarantine retried, envelopes stable"
 
+echo "== unknown campaign parameter check =="
+# A --set/--param key the scenario does not declare is a usage error:
+# exit 2 before anything runs, instead of a quarantined TypeError.
+status=0
+python -m repro campaign --scenario psm-baseline --set bogus=1 --json \
+  > /dev/null 2> "$failure_dir/unknown.err" || status=$?
+if [ "$status" -ne 2 ] || ! grep -q "bogus" "$failure_dir/unknown.err"; then
+  echo "unknown-param check: expected exit 2 naming 'bogus', got $status:"
+  cat "$failure_dir/unknown.err"; exit 1
+fi
+echo "unknown-param ok: rejected with exit 2 before any run"
+
 echo "== faulty-hotspot smoke check =="
 faulty_dir="$(mktemp -d /tmp/repro-faulty.XXXXXX)"
 python -m repro campaign --scenario faulty-hotspot \

@@ -35,7 +35,13 @@ import sys
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro import package_version
-from repro.core import run_hotspot_scenario, run_unscheduled_scenario
+from repro.build import (
+    WorldBuilder,
+    city_grid_world,
+    fleet_hotspot_world,
+    hotspot_world,
+    unscheduled_world,
+)
 from repro.core.scheduling import scheduler_names
 from repro.exp import (
     DEFAULT_FIELDS,
@@ -135,13 +141,12 @@ def cmd_fig1(args: argparse.Namespace) -> int:
     obs = ObsSession.from_args(args)
     if obs is not None:
         obs.begin_run("fig1/hotspot")
-    result = run_hotspot_scenario(
+    result = WorldBuilder(hotspot_world(
         n_clients=args.clients,
         duration_s=args.duration,
         bluetooth_quality_script=[(0.0, 1.0), (args.duration * 2 / 3, 0.2)],
         seed=args.seed,
-        obs=obs,
-    )
+    )).run(obs=obs)
     if obs is not None:
         obs.record(result)
     print(render_schedule_timeline(result.radios, 0.0, args.duration, columns=96))
@@ -154,28 +159,26 @@ def cmd_fig2(args: argparse.Namespace) -> int:
     obs = ObsSession.from_args(args)
     if obs is not None:
         obs.begin_run("fig2/unscheduled-wlan")
-    wlan = run_unscheduled_scenario(
+    wlan = WorldBuilder(unscheduled_world(
         "wlan", n_clients=args.clients, duration_s=args.duration, seed=args.seed,
-        obs=obs,
-    )
+    )).run(obs=obs)
     if obs is not None:
         obs.record(wlan)
         obs.begin_run("fig2/unscheduled-bluetooth")
-    bt = run_unscheduled_scenario(
+    bt = WorldBuilder(unscheduled_world(
         "bluetooth", n_clients=args.clients, duration_s=args.duration,
-        seed=args.seed, obs=obs,
-    )
+        seed=args.seed,
+    )).run(obs=obs)
     if obs is not None:
         obs.record(bt)
         obs.begin_run("fig2/hotspot")
-    hotspot = run_hotspot_scenario(
+    hotspot = WorldBuilder(hotspot_world(
         n_clients=args.clients,
         duration_s=args.duration,
         scheduler=args.scheduler,
         bluetooth_quality_script=[(0.0, 1.0), (args.duration * 3 / 4, 0.2)],
         seed=args.seed,
-        obs=obs,
-    )
+    )).run(obs=obs)
     if obs is not None:
         obs.record(hotspot)
     saving = wnic_power_saving_fraction(
@@ -367,6 +370,9 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             retries=args.retries,
             retry_backoff_s=args.retry_backoff,
         )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     finally:
         if store is not None:
             store.close()
@@ -645,8 +651,6 @@ def _parse_grid(value: str) -> tuple:
 
 
 def _fleet_spec_from_args(args: argparse.Namespace):
-    from repro.build.presets import city_grid_world, fleet_hotspot_world
-
     if args.grid:
         rows, cols = _parse_grid(args.grid)
         return city_grid_world(
@@ -713,37 +717,13 @@ def _cmd_fleet_sharded(args: argparse.Namespace) -> int:
 
 def cmd_fleet(args: argparse.Namespace) -> int:
     """Run the multi-AP fleet scenario and summarise roaming + energy."""
-    from repro.net import run_city_grid_scenario, run_fleet_hotspot_scenario
-
     if args.shards:
         return _cmd_fleet_sharded(args)
     obs = ObsSession.from_args(args)
-    if args.grid:
-        rows, cols = _parse_grid(args.grid)
-        if obs is not None:
-            obs.begin_run("fleet/city-grid")
-        result = run_city_grid_scenario(
-            n_clients=args.clients,
-            grid_rows=rows,
-            grid_cols=cols,
-            duration_s=args.duration,
-            scheduler=args.scheduler,
-            utilisation_cap=args.utilisation_cap,
-            seed=args.seed,
-            obs=obs,
-        )
-    else:
-        if obs is not None:
-            obs.begin_run("fleet/fleet-hotspot")
-        result = run_fleet_hotspot_scenario(
-            n_clients=args.clients,
-            n_aps=args.aps,
-            duration_s=args.duration,
-            scheduler=args.scheduler,
-            utilisation_cap=args.utilisation_cap,
-            seed=args.seed,
-            obs=obs,
-        )
+    spec = _fleet_spec_from_args(args)
+    if obs is not None:
+        obs.begin_run("fleet/city-grid" if args.grid else "fleet/fleet-hotspot")
+    result = WorldBuilder(spec).run(obs=obs)
     if obs is not None:
         obs.record(result)
     extras = result.extras
@@ -790,7 +770,7 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
     for index, entry in enumerate(entries):
         if index:
             print()
-        tag = " (declarative spec)" if entry.spec_factory is not None else ""
+        tag = " (declarative spec)" if entry.declarative else ""
         print(f"{entry.name}{tag}")
         if entry.description:
             print(f"  {entry.description}")
@@ -814,14 +794,13 @@ def cmd_trace(args: argparse.Namespace) -> int:
     )
     obs.registry_requested = args.metrics
     obs.begin_run("trace/hotspot")
-    result = run_hotspot_scenario(
+    result = WorldBuilder(hotspot_world(
         n_clients=args.clients,
         duration_s=args.duration,
         scheduler=args.scheduler,
         bluetooth_quality_script=[(0.0, 1.0), (args.duration * 3 / 4, 0.2)],
         seed=args.seed,
-        obs=obs,
-    )
+    )).run(obs=obs)
     obs.record(result)
     print(top_kinds_table(obs.registry, top_n=args.top))
     print()

@@ -13,8 +13,8 @@ code:
   substrate, server or fleet, faults, observability, traffic pumps) from
   a spec, and :class:`World`, the assembled-but-not-yet-run result;
 - :mod:`repro.build.presets` — the registered scenarios expressed as
-  spec factories (``hotspot_world`` & friends); the legacy ``run_*``
-  entry points are thin shims over these.
+  spec factories (``hotspot_world`` & friends); every scenario runs as
+  ``WorldBuilder(hotspot_world(...)).run()``.
 
 Adding a scenario is now ~20 lines of spec::
 
@@ -54,12 +54,14 @@ from repro.build.spec import (
     uniform_nodes,
 )
 from repro.build.presets import (
+    city_grid_world,
     ecmac_world,
     faulty_hotspot_world,
     fleet_hotspot_world,
     hotspot_world,
     pamas_world,
     psm_baseline_world,
+    psm_crossval_world,
     unap_hotspot_world,
     unscheduled_world,
 )
@@ -81,12 +83,14 @@ __all__ = [
     "WorldBuilder",
     "WorldSpec",
     "build_managed_client",
+    "city_grid_world",
     "ecmac_world",
     "faulty_hotspot_world",
     "fleet_hotspot_world",
     "hotspot_world",
     "pamas_world",
     "psm_baseline_world",
+    "psm_crossval_world",
     "scripted_quality",
     "unap_hotspot_world",
     "uniform_nodes",

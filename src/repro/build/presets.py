@@ -1,11 +1,14 @@
 """Spec factories for the registered scenarios.
 
-Each factory maps one scenario's historical ``run_*`` signature onto a
-:class:`~repro.build.spec.WorldSpec`; the ``run_*`` entry points in
-:mod:`repro.core.scenario` and :mod:`repro.net.scenario` are thin shims
-over these plus :class:`~repro.build.builder.WorldBuilder`.  Validation
-(and its error messages) lives here so declarative callers and legacy
-callers fail identically.
+Each factory maps one scenario's keyword arguments onto a
+:class:`~repro.build.spec.WorldSpec`; running a scenario is always
+``WorldBuilder(<factory>(**params, seed=seed)).run(obs=obs)``, and the
+:mod:`repro.exp.scenarios` registry wraps exactly that.  ``obs`` is an
+optional observability hook (anything with an ``attach(sim)`` method,
+e.g. :class:`repro.obs.ObsSession`): :meth:`WorldBuilder.run` attaches
+it to the freshly built simulator before any process starts, so the
+trace covers the whole run.  Validation (and its error messages) lives
+in the factories, so every caller fails identically.
 
 These are also the reference examples for writing new scenarios as
 specs — a new workload is a ~20-line factory, not a hand-wired runner.
@@ -44,7 +47,22 @@ def hotspot_world(
     utilisation_cap: float = 0.9,
     label: Optional[str] = None,
 ) -> WorldSpec:
-    """The paper's system: Hotspot-scheduled bursts, interface switching."""
+    """The paper's system: Hotspot-scheduled bursts, interface switching.
+
+    ``bluetooth_quality_script`` reproduces the paper's degradation
+    scenario: e.g. ``[(0, 1.0), (40, 0.2)]`` starts clean and degrades at
+    t=40 s, forcing the switch to WLAN.
+
+    ``server_prefetch_s`` is how far ahead of real time the Hotspot proxy
+    has already fetched the stream from the (fast, wired) infrastructure
+    when playback starts — what lets it burst "10s of Kbytes at a time"
+    instead of trickling at the encoding rate.
+
+    ``fault_plan`` injects scheduled failures (radio outages, churn,
+    interference) via a :class:`repro.faults.FaultInjector`; the result's
+    ``extras`` then carry fault/recovery counters into the summary
+    record.
+    """
     if n_clients < 1:
         raise ValueError("need at least one client")
     if duration_s <= 0:
@@ -105,6 +123,23 @@ def faulty_hotspot_world(
     server_prefetch_s: float = 30.0,
 ) -> WorldSpec:
     """The Hotspot under stress: mid-stream radio death with failover.
+
+    Clients run WLAN-first (reversing the healthy scenario's
+    Bluetooth-first preference so the *expensive* radio carries the
+    stream), then every client's ``outage_interface`` dies at
+    ``outage_start_s`` for ``outage_duration_s``.  The resource manager
+    must detect the dead interface, fail each client over to the
+    surviving radio (the paper's dual-radio selection, now exercised
+    under stress), and re-schedule the bursts the outage swallowed —
+    QoS must hold throughout.
+
+    Optional extra stress, all drawn from seeded ``faults/*`` substreams
+    so identical seeds give byte-identical runs:
+
+    - ``churn_clients``: that many clients leave mid-stream and rejoin
+      (scheduling pauses, playback suspends, no underruns accrue);
+    - ``interference_rate_per_min``: Poisson interference bursts that
+      collapse link quality on the backup interface.
 
     The fault plan is a *factory* resolved at build time against the
     world's seeded streams — churn and interference times come from
@@ -191,7 +226,13 @@ def unscheduled_world(
     seed: int = 0,
     platform=None,
 ) -> WorldSpec:
-    """Figure-2 baseline: streaming with no power management at all."""
+    """Figure-2 baseline: streaming with no power management at all.
+
+    The WNIC sits in its listening state (WLAN ``idle`` / Bluetooth
+    ``connected``) for the whole run; each MP3 frame is received at the
+    interface's natural rate (WLAN charges the rx-vs-idle delta,
+    Bluetooth briefly enters ``active``).
+    """
     if interface not in ("wlan", "bluetooth"):
         raise ValueError("interface must be 'wlan' or 'bluetooth'")
     return WorldSpec(
@@ -218,7 +259,11 @@ def psm_baseline_world(
     seed: int = 0,
     platform=None,
 ) -> WorldSpec:
-    """Standard 802.11 PSM on the full packet-level MAC."""
+    """Standard 802.11 PSM on the full packet-level MAC.
+
+    Every MP3 frame flows through the AP; dozing stations fetch buffered
+    frames with the beacon/TIM/PS-Poll machinery of :mod:`repro.mac.psm`.
+    """
     return WorldSpec(
         delivery="psm",
         duration_s=duration_s,
@@ -243,11 +288,14 @@ def psm_crossval_world(
     seed: int = 0,
     platform=None,
 ) -> WorldSpec:
-    """Analytic cross-validation workload on the packet-level MAC.
+    """Analytic cross-validation workload: fixed-size Poisson frames.
 
-    Fixed-size Poisson frames at a controllable offered load, so every
-    knob maps one-to-one onto :class:`repro.analytic.models.PsmParams`:
-    push ``offered_load_bps`` past the drain capacity and the run
+    Frames arrive at a controllable offered load on the packet-level
+    MAC, and every knob maps one-to-one onto
+    :class:`repro.analytic.models.PsmParams`, so the same grid point can
+    be fed to the simulator and to the closed-form predictors
+    (:mod:`repro.analytic.crossval` automates the comparison).  Push
+    ``offered_load_bps`` past the drain capacity and the run
     saturates.  ``direction="downlink"`` drains AP-buffered frames via
     PSM; ``"uplink"`` sends from always-on CAM stations to the AP.
     """
@@ -298,7 +346,7 @@ def unap_hotspot_world(
     seed: int = 0,
     platform=None,
 ) -> WorldSpec:
-    """μNap micro-sleep workload: uplink senders overhearing each other.
+    """μNap micro-sleeps: stations doze through overheard reservations.
 
     Every station contends for the same AP on a broadcast-overheard
     medium with RTS/CTS protection, so each data exchange announces a
@@ -350,8 +398,9 @@ def pamas_world(
     seed: int = 0,
     platform=None,
 ) -> WorldSpec:
-    """PAMAS battery-aware sleeping: availability vs lifetime, no AP.
+    """PAMAS battery-aware independent sleeping (availability/lifetime).
 
+    There is no AP: nodes sleep on their own battery level alone.
     Every node runs the linear sleep policy — fully awake above
     ``threshold`` state-of-charge, sleeping progressively more as the
     battery drains below it.
@@ -385,7 +434,7 @@ def ecmac_world(
     seed: int = 0,
     platform=None,
 ) -> WorldSpec:
-    """EC-MAC scheduled downlink: exact doze windows, no contention."""
+    """EC-MAC scheduled downlink with exact, collision-free doze windows."""
     if n_clients < 1:
         raise ValueError("need at least one client")
     if duration_s <= 0:
@@ -428,9 +477,12 @@ def city_grid_world(
 ) -> WorldSpec:
     """A city block of WLAN hotspot cells on a square grid.
 
-    The shard-scale deployment: WLAN-only clients (no per-client
-    Bluetooth beacon load, so 10k-client populations stay tractable)
-    roaming a ``grid_rows x grid_cols`` lattice of cells.
+    The deployment behind the sharded fleet runner: ``grid_rows x
+    grid_cols`` WLAN cells on a lattice (``ap_spacing_m`` pitch) serving
+    a roaming random-waypoint population.  Identical machinery to
+    :func:`fleet_hotspot_world`, but WLAN-only clients (no per-client
+    Bluetooth beacon load) keep the per-client event load low enough
+    for 10k-walker populations.
     """
     if n_clients < 1:
         raise ValueError("need at least one client")
@@ -488,7 +540,25 @@ def fleet_hotspot_world(
     server_prefetch_s: float = 30.0,
     label: Optional[str] = None,
 ) -> WorldSpec:
-    """A multi-cell hotspot fleet with roaming random-waypoint clients."""
+    """A multi-cell hotspot fleet with roaming random-waypoint clients.
+
+    ``n_aps`` co-located WLAN+Bluetooth hotspot sites form a corridor
+    (``ap_spacing_m`` apart, arena ``n_aps * ap_spacing_m`` by
+    ``arena_depth_m`` metres); ``n_clients`` walkers roam it under the
+    seeded :class:`~repro.phy.mobility.RandomWaypoint` model.  Each cell
+    runs its own :class:`~repro.core.server.HotspotServer`, admissions
+    are steered to the least-loaded covering cell, and the
+    :class:`~repro.net.handoff.HandoffController` moves clients between
+    cells with hysteresis as they walk.  Per-client assembly goes
+    through the same :func:`~repro.build.builder.build_managed_client`
+    path as the single-AP scenarios, with the fleet layers (topology,
+    association, steering, handoff) wired around it by the builder's
+    fleet mode.
+
+    The result's ``extras`` carry the fleet-level counters (handoffs,
+    association churn, per-cell breakdowns and the full handoff
+    timeline) into the campaign summary record.
+    """
     if n_clients < 1:
         raise ValueError("need at least one client")
     if n_aps < 1:

@@ -1,9 +1,8 @@
 """Scenario outcome containers: what every runnable world produces.
 
-Split out of :mod:`repro.core.scenario` so both the legacy ``run_*``
-entry points and the declarative composition layer
-(:mod:`repro.build`) can share them without import cycles:
-:class:`ClientOutcome` is everything measured for one client,
+Kept apart from the declarative composition layer (:mod:`repro.build`)
+so the simulator layers and the builder share them without import
+cycles: :class:`ClientOutcome` is everything measured for one client,
 :class:`ScenarioResult` the whole run's output, and
 :meth:`ScenarioResult.summary_record` the JSON-ready scalar record the
 campaign engine hashes, caches and aggregates.

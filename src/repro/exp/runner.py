@@ -43,7 +43,7 @@ import os
 from repro import package_version
 from repro.core.outcome import VOLATILE_TIMING_FIELDS
 from repro.exp.progress import CampaignProgress, ProgressLog, StderrProgress
-from repro.exp.scenarios import get_scenario
+from repro.exp.scenarios import get_scenario, scenario_entry
 from repro.exp.spec import CampaignSpec, RunSpec, canonical_params
 from repro.exp.store import ResultStore
 
@@ -320,6 +320,9 @@ def run_campaign(
     retry_backoff_s:
         Base of the exponential backoff slept between attempts.
 
+    A ``base`` or ``grid`` key the scenario does not declare raises
+    :class:`ValueError` before any run executes or the store is written.
+
     A failing run never aborts the campaign: its error envelope lands in
     the matching :class:`RunResult` (and, when a store is present, in a
     quarantine line that is retried — not served — by the next
@@ -342,6 +345,14 @@ def run_campaign(
         raise ValueError(
             "campaign timeseries uses a per-run obs session; "
             "drop the shared one or the interval"
+        )
+
+    known = {p.name for p in scenario_entry(spec.scenario).parameters}
+    unknown = sorted((set(spec.base) | set(spec.grid)) - known)
+    if unknown:
+        raise ValueError(
+            f"scenario {spec.scenario!r} has no parameter(s) {unknown}; "
+            f"known: {sorted(known)}"
         )
 
     version = package_version()

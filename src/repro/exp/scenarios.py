@@ -5,34 +5,27 @@ described by JSON-serialisable data (name + params + seed) — that is
 what makes the content hash and the worker-pool handoff possible.  The
 registered callable takes the run's params as keyword arguments plus
 ``seed`` and ``obs``, and returns a
-:class:`repro.core.scenario.ScenarioResult` (anything with a
+:class:`repro.core.outcome.ScenarioResult` (anything with a
 ``summary_record()`` method works).
 
-Entries can additionally carry a *spec factory* — the
-:mod:`repro.build.presets` function mapping the same keyword arguments
-onto a declarative :class:`~repro.build.WorldSpec`.  That is what lets
-``repro scenarios`` introspect every scenario's parameters and defaults
-without running anything, and lets campaign grids sweep structural
-parameters (interface sets, traffic mixes) rather than only scalars.
+Every built-in is a :mod:`repro.build.presets` factory wrapped by
+:func:`_preset_runner`: the runnable builds the factory's
+:class:`~repro.build.WorldSpec` and runs it through
+:class:`~repro.build.WorldBuilder`.  The wrapper exposes the factory's
+signature and docstring, so ``repro scenarios`` introspects every
+scenario's parameters and defaults without running anything, and
+campaign grids can sweep structural parameters (interface sets,
+traffic mixes) rather than only scalars.
 """
 
 from __future__ import annotations
 
+import functools
 import inspect
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.core.scenario import (
-    run_ecmac_scenario,
-    run_faulty_hotspot_scenario,
-    run_hotspot_scenario,
-    run_pamas_scenario,
-    run_psm_baseline_scenario,
-    run_psm_crossval_scenario,
-    run_unap_hotspot_scenario,
-    run_unscheduled_scenario,
-)
-from repro.net.scenario import run_city_grid_scenario, run_fleet_hotspot_scenario
+from repro.build import WorldBuilder, WorldSpec, presets
 
 ScenarioFn = Callable[..., object]
 
@@ -66,20 +59,16 @@ class ScenarioParameter:
 
 @dataclass(frozen=True)
 class ScenarioEntry:
-    """One registered scenario: runnable fn + optional spec metadata."""
+    """One registered scenario: its runnable and introspected parameters."""
 
     name: str
     fn: ScenarioFn
-    #: The :mod:`repro.build.presets` factory mapping the same kwargs to
-    #: a WorldSpec; introspection prefers it (it has no ``obs`` plumbing
-    #: and is the declarative source of truth for defaults).
-    spec_factory: Optional[Callable[..., object]] = None
     description: str = ""
     _parameters: List[ScenarioParameter] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        target = self.spec_factory or self.fn
-        for param in inspect.signature(target).parameters.values():
+        # inspect.signature follows ``__wrapped__`` to a preset factory.
+        for param in inspect.signature(self.fn).parameters.values():
             if param.name in _ENGINE_PARAMS:
                 continue
             if param.kind in (
@@ -106,12 +95,20 @@ class ScenarioEntry:
     def parameters(self) -> List[ScenarioParameter]:
         return list(self._parameters)
 
+    @property
+    def declarative(self) -> bool:
+        """True when the runnable wraps a WorldSpec factory."""
+        target = inspect.unwrap(self.fn)
+        return target is not self.fn and inspect.signature(
+            target
+        ).return_annotation in (WorldSpec, "WorldSpec")
+
     def describe(self) -> Dict[str, Any]:
         """JSON-ready entry summary (``repro scenarios --json``)."""
         return {
             "name": self.name,
             "description": self.description,
-            "declarative": self.spec_factory is not None,
+            "declarative": self.declarative,
             "parameters": [p.describe() for p in self._parameters],
         }
 
@@ -138,15 +135,11 @@ _SCENARIOS: Dict[str, ScenarioEntry] = {}
 def register_scenario(
     name: str,
     fn: ScenarioFn,
-    spec_factory: Optional[Callable[..., object]] = None,
     description: Optional[str] = None,
 ) -> None:
     """Register ``fn`` under ``name`` (idempotent for the same callable).
 
-    ``spec_factory`` is the optional declarative counterpart (a
-    ``repro.build.presets``-style function returning a WorldSpec) used
-    for parameter introspection; ``description`` defaults to the first
-    line of ``fn``'s docstring.
+    ``description`` defaults to the first line of ``fn``'s docstring.
     """
     existing = _SCENARIOS.get(name)
     if existing is not None and existing.fn is not fn:
@@ -154,7 +147,6 @@ def register_scenario(
     _SCENARIOS[name] = ScenarioEntry(
         name=name,
         fn=fn,
-        spec_factory=spec_factory,
         description=(
             description if description is not None else _first_doc_line(fn)
         ),
@@ -182,73 +174,54 @@ def scenario_names() -> List[str]:
     return sorted(_SCENARIOS)
 
 
-def _register_builtins() -> None:
-    # Spec factories imported lazily: repro.build imports repro.core and
-    # repro.net, both of which may be mid-import when this module loads.
-    from repro.build.presets import (
-        city_grid_world,
-        ecmac_world,
-        faulty_hotspot_world,
-        fleet_hotspot_world,
-        hotspot_world,
-        pamas_world,
-        psm_baseline_world,
-        psm_crossval_world,
-        unap_hotspot_world,
-        unscheduled_world,
-    )
+def _preset_runner(factory: Callable[..., WorldSpec]) -> ScenarioFn:
+    """The runnable for a preset: build its WorldSpec, then run it."""
 
-    register_scenario("hotspot", run_hotspot_scenario, hotspot_world)
-    register_scenario(
-        "faulty-hotspot", run_faulty_hotspot_scenario, faulty_hotspot_world
-    )
-    register_scenario("unscheduled", run_unscheduled_scenario, unscheduled_world)
-    register_scenario(
-        "psm-baseline",
-        run_psm_baseline_scenario,
-        psm_baseline_world,
-        description=(
+    @functools.wraps(factory)
+    def run(*, obs=None, **params: Any) -> object:
+        return WorldBuilder(factory(**params)).run(obs=obs)
+
+    return run
+
+
+def _register_builtins() -> None:
+    builtins = {
+        "hotspot": presets.hotspot_world,
+        "faulty-hotspot": presets.faulty_hotspot_world,
+        "unscheduled": presets.unscheduled_world,
+        "psm-baseline": presets.psm_baseline_world,
+        "psm-crossval": presets.psm_crossval_world,
+        "unap-hotspot": presets.unap_hotspot_world,
+        "pamas": presets.pamas_world,
+        "ecmac": presets.ecmac_world,
+        "fleet-hotspot": presets.fleet_hotspot_world,
+        "city-grid": presets.city_grid_world,
+    }
+    descriptions = {
+        "psm-baseline": (
             "802.11 PSM on the packet MAC — when a standard beacon/TIM "
             "doze cycle is the right power-saving technique"
         ),
-    )
-    register_scenario(
-        "psm-crossval", run_psm_crossval_scenario, psm_crossval_world
-    )
-    register_scenario(
-        "unap-hotspot",
-        run_unap_hotspot_scenario,
-        unap_hotspot_world,
-        description=(
+        "unap-hotspot": (
             "μNap micro-sleeps through overheard NAV reservations — when "
             "traffic is too chatty for PSM but the air is busy with "
             "other stations' exchanges"
         ),
-    )
-    register_scenario(
-        "pamas",
-        run_pamas_scenario,
-        pamas_world,
-        description=(
+        "pamas": (
             "PAMAS battery-level-driven independent sleep — when node "
             "lifetime matters more than reachability and there is no "
             "coordinator to ask"
         ),
-    )
-    register_scenario(
-        "ecmac",
-        run_ecmac_scenario,
-        ecmac_world,
-        description=(
+        "ecmac": (
             "EC-MAC centrally scheduled doze windows — when a base "
             "station can broadcast exact transmission times and "
             "contention (and its energy waste) should be designed out"
         ),
-    )
-    register_scenario(
-        "fleet-hotspot", run_fleet_hotspot_scenario, fleet_hotspot_world
-    )
-    register_scenario("city-grid", run_city_grid_scenario, city_grid_world)
+    }
+    for name, factory in builtins.items():
+        register_scenario(
+            name, _preset_runner(factory), description=descriptions.get(name)
+        )
 
 
 _register_builtins()

@@ -135,10 +135,3 @@ class TestCustomWorlds:
         spec.extras["experiment"] = "e1"
         record = WorldBuilder(spec).run().summary_record()
         assert record["experiment"] == "e1"
-
-    def test_shim_matches_builder_direct(self):
-        from repro.core.scenario import run_hotspot_scenario
-
-        via_shim = run_hotspot_scenario(n_clients=2, duration_s=5.0, seed=3)
-        via_builder = WorldBuilder(_short_hotspot()).run()
-        assert _pinned(via_shim) == _pinned(via_builder)

@@ -3,9 +3,10 @@
 The files under ``tests/build/golden/`` hold ``dumps_strict``-serialised
 ``summary_record()`` strings captured from the pre-``repro.build``
 scenario runners at pinned parameters and seeds.  These tests re-run
-every registered scenario through the current code path (thin shims →
-``WorldBuilder``) and require the output to match **byte for byte** —
-any drift means world assembly changed behaviour, not just shape.
+every registered scenario through its one code path (the registry's
+preset runnable → ``WorldBuilder``) and require the output to match
+**byte for byte** — any drift means world assembly changed behaviour,
+not just shape.
 
 Regenerate intentionally with ``python scripts/make_goldens.py`` only
 when a scenario's behaviour is *meant* to change.

@@ -140,6 +140,25 @@ class TestGuards:
         with pytest.raises(ValueError, match="jobs"):
             run_campaign(fake_spec(), jobs=0)
 
+    def test_unknown_params_rejected_before_any_run(self, tmp_path):
+        CALLS.clear()
+        spec = fake_spec(base={"bogus": 1}, grid={"gain": [1], "nope": [2]})
+        with ResultStore(tmp_path / "s") as store:
+            with pytest.raises(ValueError) as excinfo:
+                run_campaign(spec, store=store)
+        message = str(excinfo.value)
+        assert "['bogus', 'nope']" in message
+        assert "known: ['gain']" in message
+        assert CALLS == []
+        assert (tmp_path / "s" / "results.jsonl").read_text() == ""
+
+    def test_builtin_unknown_param_names_the_known_ones(self):
+        spec = CampaignSpec(
+            name="typo", scenario="psm-baseline", base={"n_client": 2}
+        )
+        with pytest.raises(ValueError, match="n_clients"):
+            run_campaign(spec)
+
     def test_builtin_scenarios_registered(self):
         for name in ("hotspot", "unscheduled", "psm-baseline"):
             assert name in scenario_names()
@@ -208,6 +227,20 @@ class TestCampaignCli:
         second = self.run_cli(argv, capsys)
         assert "2 cached, 0 executed" in second.err
         assert first.out == second.out
+
+    def test_unknown_param_exits_2_without_running(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        store = tmp_path / "c"
+        code = main([
+            "campaign", "--scenario", "psm-baseline", "--set", "bogus=1",
+            "--store", str(store), "--json",
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bogus" in captured.err and "n_clients" in captured.err
+        assert (store / "results.jsonl").read_text() == ""
 
     def test_campaign_json_payload_shape(self, tmp_path, capsys):
         out = self.run_cli(

@@ -5,12 +5,12 @@ import random
 import pytest
 
 from repro.apps import OnOffTraffic
+from repro.build import WorldBuilder, hotspot_world
 from repro.core import (
     HotspotClient,
     HotspotServer,
     QoSContract,
     bluetooth_interface,
-    run_hotspot_scenario,
 )
 from repro.phy import Battery
 from repro.sim import Simulator
@@ -74,11 +74,11 @@ class TestLongRun:
     def test_ten_minute_stream_stays_stable(self):
         """Long-horizon stability: no drift, no leak-induced stall, QoS
         held for the whole 600 simulated seconds."""
-        result = run_hotspot_scenario(
+        result = WorldBuilder(hotspot_world(
             n_clients=3,
             duration_s=600.0,
             bluetooth_quality_script=[(0.0, 1.0), (450.0, 0.2)],
-        )
+        )).run()
         assert result.qos_maintained()
         expected = 128_000 / 8 * 600.0
         for client in result.clients:

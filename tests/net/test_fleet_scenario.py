@@ -4,10 +4,15 @@ import json
 
 import pytest
 
-from repro.core import run_hotspot_scenario, run_unscheduled_scenario
+from repro.build import (
+    WorldBuilder,
+    city_grid_world,
+    fleet_hotspot_world,
+    hotspot_world,
+    unscheduled_world,
+)
 from repro.exp import scenario_names
 from repro.metrics.energy import wnic_power_saving_fraction
-from repro.net import run_city_grid_scenario, run_fleet_hotspot_scenario
 from repro.obs import ObsSession
 
 
@@ -16,13 +21,15 @@ class TestAcceptance:
         # 4 APs, 24 roaming clients, 120 s: zero QoS underruns, and the
         # per-client WNIC saving stays within 5 points of the single-AP
         # hotspot baseline (both measured against unscheduled WLAN).
-        fleet = run_fleet_hotspot_scenario(seed=0)
+        fleet = WorldBuilder(fleet_hotspot_world(seed=0)).run()
         assert fleet.extras["handoffs"] > 0  # clients actually roam
         assert sum(c.qos.underruns for c in fleet.clients) == 0
         assert fleet.qos_maintained()
 
-        wlan = run_unscheduled_scenario("wlan", n_clients=3, duration_s=120.0)
-        single = run_hotspot_scenario(n_clients=3, duration_s=120.0)
+        wlan = WorldBuilder(
+            unscheduled_world("wlan", n_clients=3, duration_s=120.0)
+        ).run()
+        single = WorldBuilder(hotspot_world(n_clients=3, duration_s=120.0)).run()
         baseline_saving = wnic_power_saving_fraction(
             wlan.mean_wnic_power_w(), single.mean_wnic_power_w()
         )
@@ -33,10 +40,10 @@ class TestAcceptance:
 
 
 class TestScenarioShape:
-    def run_small(self, **kwargs):
+    def run_small(self, obs=None, **kwargs):
         defaults = dict(n_clients=6, n_aps=2, duration_s=20.0, seed=0)
         defaults.update(kwargs)
-        return run_fleet_hotspot_scenario(**defaults)
+        return WorldBuilder(fleet_hotspot_world(**defaults)).run(obs=obs)
 
     def test_registered_for_campaigns(self):
         assert "fleet-hotspot" in scenario_names()
@@ -86,11 +93,11 @@ class TestScenarioShape:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            run_fleet_hotspot_scenario(n_clients=0)
+            WorldBuilder(fleet_hotspot_world(n_clients=0)).run()
         with pytest.raises(ValueError):
-            run_fleet_hotspot_scenario(n_aps=0)
+            WorldBuilder(fleet_hotspot_world(n_aps=0)).run()
         with pytest.raises(ValueError):
-            run_fleet_hotspot_scenario(duration_s=0.0)
+            WorldBuilder(fleet_hotspot_world(duration_s=0.0)).run()
 
 
 class TestCityGridScenario:
@@ -99,7 +106,7 @@ class TestCityGridScenario:
             n_clients=12, grid_rows=2, grid_cols=2, duration_s=20.0, seed=0
         )
         defaults.update(kwargs)
-        return run_city_grid_scenario(**defaults)
+        return WorldBuilder(city_grid_world(**defaults)).run()
 
     def test_registered_for_campaigns(self):
         assert "city-grid" in scenario_names()
@@ -124,6 +131,6 @@ class TestCityGridScenario:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            run_city_grid_scenario(n_clients=0)
+            WorldBuilder(city_grid_world(n_clients=0)).run()
         with pytest.raises(ValueError):
-            run_city_grid_scenario(grid_rows=0)
+            WorldBuilder(city_grid_world(grid_rows=0)).run()

@@ -8,7 +8,7 @@ from repro.core import (
     wlan_interface,
 )
 from repro.exp import CampaignSpec, campaign_payload, dump_json, run_campaign
-from repro.net import run_fleet_hotspot_scenario
+from repro.build import WorldBuilder, fleet_hotspot_world
 from repro.net.fleet import FleetCoordinator
 from repro.net.handoff import HandoffController
 from repro.net.topology import linear_deployment
@@ -140,7 +140,7 @@ class TestQosGuard:
         # An 8-second reassociation gap exceeds what any client buffer
         # can bridge: every roam must take the protected path, and no
         # playout buffer may underrun.
-        result = run_fleet_hotspot_scenario(
+        result = WorldBuilder(fleet_hotspot_world(
             n_clients=8,
             n_aps=2,
             duration_s=40.0,
@@ -148,7 +148,7 @@ class TestQosGuard:
             burst_bytes=40_000,
             client_buffer_bytes=96_000,
             handoff_latency_range_s=(8.0, 8.0),
-        )
+        )).run()
         assert result.extras["handoffs"] > 0
         assert (
             result.extras["handoff_suspensions"] == result.extras["handoffs"]
@@ -159,9 +159,9 @@ class TestQosGuard:
 class TestDeterminism:
     def test_same_seed_same_timeline(self):
         runs = [
-            run_fleet_hotspot_scenario(
+            WorldBuilder(fleet_hotspot_world(
                 n_clients=8, n_aps=2, duration_s=40.0, seed=7
-            )
+            )).run()
             for _ in range(2)
         ]
         assert runs[0].extras["handoff_timeline"] == runs[1].extras[
@@ -170,12 +170,12 @@ class TestDeterminism:
         assert runs[0].extras["handoff_timeline"]  # non-trivial
 
     def test_different_seed_different_timeline(self):
-        a = run_fleet_hotspot_scenario(
+        a = WorldBuilder(fleet_hotspot_world(
             n_clients=8, n_aps=2, duration_s=40.0, seed=0
-        )
-        b = run_fleet_hotspot_scenario(
+        )).run()
+        b = WorldBuilder(fleet_hotspot_world(
             n_clients=8, n_aps=2, duration_s=40.0, seed=1
-        )
+        )).run()
         assert a.extras["handoff_timeline"] != b.extras["handoff_timeline"]
 
     def test_campaign_jobs1_vs_jobsN_byte_identical(self):

@@ -2,7 +2,7 @@
 
 import json
 
-from repro.core.scenario import run_hotspot_scenario
+from repro.build import WorldBuilder, hotspot_world
 from repro.devices import wlan_cf_card
 from repro.obs import (
     JsonlTraceWriter,
@@ -19,7 +19,7 @@ from repro.sim import Simulator
 REQUIRED_KEYS = ("time_s", "layer", "entity", "kind")
 
 
-def run_traced_scenario(tmp_path):
+def traced_hotspot_run(tmp_path):
     trace_path = tmp_path / "trace.jsonl"
     chrome_path = tmp_path / "trace.json"
     with ObsSession(
@@ -27,19 +27,18 @@ def run_traced_scenario(tmp_path):
     ) as obs:
         obs.begin_run("hotspot")
         result = obs.record(
-            run_hotspot_scenario(
+            WorldBuilder(hotspot_world(
                 n_clients=2,
                 duration_s=20.0,
                 bluetooth_quality_script=[(0.0, 1.0), (8.0, 0.2)],
-                obs=obs,
-            )
+            )).run(obs=obs)
         )
     return trace_path, chrome_path, result
 
 
 class TestJsonlExport:
     def test_every_line_is_json_with_required_keys(self, tmp_path):
-        trace_path, _, _ = run_traced_scenario(tmp_path)
+        trace_path, _, _ = traced_hotspot_run(tmp_path)
         lines = trace_path.read_text().splitlines()
         assert len(lines) > 100
         layers = set()
@@ -66,7 +65,7 @@ class TestJsonlExport:
 
 class TestChromeTrace:
     def test_one_thread_per_radio_with_dwell_slices(self, tmp_path):
-        _, chrome_path, result = run_traced_scenario(tmp_path)
+        _, chrome_path, result = traced_hotspot_run(tmp_path)
         payload = json.loads(chrome_path.read_text())
         events = payload["traceEvents"]
         thread_names = [
@@ -88,7 +87,7 @@ class TestChromeTrace:
     def test_component_tracks_hold_instants_and_sort_after_radios(
         self, tmp_path
     ):
-        _, chrome_path, result = run_traced_scenario(tmp_path)
+        _, chrome_path, result = traced_hotspot_run(tmp_path)
         payload = json.loads(chrome_path.read_text())
         events = payload["traceEvents"]
         names_by_tid = {
