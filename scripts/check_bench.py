@@ -29,8 +29,8 @@ import json
 import sys
 
 #: Conservative default: real machines do hundreds of thousands of
-#: events/s since the calendar-queue kernel rework; an order of
-#: magnitude of headroom absorbs slow or loaded CI machines.
+#: events/s on the single-heap kernel; an order of magnitude of
+#: headroom absorbs slow or loaded CI machines.
 DEFAULT_FLOOR_EVENTS_PER_S = 10_000.0
 
 #: Per-scenario floors overriding the default where the workload is

@@ -211,6 +211,16 @@ print(f"fleet ok: {record['handoffs']} handoffs across "
       f"{record['n_aps']} cells, QoS held, {served} bursts served")
 EOF
 
+echo "== fleet usage check (--store without --shards exits 2) =="
+status=0
+python -m repro fleet --duration 2 --clients 2 --store "$fleet_dir/store" \
+  > /dev/null 2>&1 || status=$?
+if [ "$status" -ne 2 ] || [ -e "$fleet_dir/store" ]; then
+  echo "fleet usage: --store without --shards exited $status (want 2)" >&2
+  exit 1
+fi
+echo "fleet usage ok: --store without --shards rejected with exit 2"
+
 echo "== sharded fleet smoke check (shards=1 vs shards=4 byte-identical) =="
 shard_a="$(mktemp -d /tmp/repro-shard-a.XXXXXX)"
 shard_b="$(mktemp -d /tmp/repro-shard-b.XXXXXX)"

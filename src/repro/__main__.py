@@ -640,19 +640,22 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def _parse_grid(value: str) -> tuple:
+    """Parse ``--grid ROWSxCOLS`` into ``(rows, cols)``."""
     try:
         rows, cols = value.lower().split("x")
         rows, cols = int(rows), int(cols)
     except ValueError:
-        raise SystemExit(f"--grid expects ROWSxCOLS (e.g. 3x3), got {value!r}")
+        raise argparse.ArgumentTypeError(
+            f"expected ROWSxCOLS (e.g. 3x3), got {value!r}"
+        )
     if rows < 1 or cols < 1:
-        raise SystemExit("--grid dimensions must be >= 1")
+        raise argparse.ArgumentTypeError(f"dimensions must be >= 1, got {value!r}")
     return rows, cols
 
 
 def _fleet_spec_from_args(args: argparse.Namespace):
     if args.grid:
-        rows, cols = _parse_grid(args.grid)
+        rows, cols = args.grid
         return city_grid_world(
             n_clients=args.clients,
             grid_rows=rows,
@@ -717,6 +720,12 @@ def _cmd_fleet_sharded(args: argparse.Namespace) -> int:
 
 def cmd_fleet(args: argparse.Namespace) -> int:
     """Run the multi-AP fleet scenario and summarise roaming + energy."""
+    if args.store and not args.shards:
+        print(
+            "error: --store holds a sharded run's partials; add --shards N",
+            file=sys.stderr,
+        )
+        return 2
     if args.shards:
         return _cmd_fleet_sharded(args)
     obs = ObsSession.from_args(args)
@@ -1196,6 +1205,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet.add_argument(
         "--grid",
+        type=_parse_grid,
         metavar="ROWSxCOLS",
         help="use a ROWSxCOLS city-grid deployment (e.g. 3x3) instead of "
         "the linear corridor; overrides --aps",

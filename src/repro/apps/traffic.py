@@ -24,9 +24,6 @@ Arrival = Tuple[float, int, str]
 #: Samples per MPEG-1 Layer III frame / the standard sample rate.
 MP3_FRAME_INTERVAL_S = 1152 / 44_100.0
 
-#: Arrivals batched per ``Simulator.bulk_timeouts`` call in the pump.
-_PUMP_CHUNK = 256
-
 
 class TrafficSource:
     """Base class wiring an arrival stream into the simulator."""
@@ -53,40 +50,20 @@ class TrafficSource:
     ):
         """Pump arrivals into ``sink(nbytes, kind)`` in simulated time.
 
-        Arrivals are batched through :meth:`Simulator.bulk_timeouts` in
-        chunks: the sleep before each arrival is ``now + (t - now)``, and
-        since the pump wakes exactly at each hop's fire time the whole
-        chunk's fire times follow from the current clock before any hop
-        runs — bit-for-bit the same instants the one-timeout-per-arrival
-        pump produced.
+        One timeout per arrival, created only when the previous one has
+        fired, so a running pump holds at most one pending event.  The
+        sleep is ``timeout(t - now)``, which fires at ``now + (t - now)``
+        (not always exactly ``t``); the scenario goldens pin those
+        instants.  An arrival that is not in the future is delivered
+        without sleeping.
         """
 
-        def drain(chunk):
-            now = sim._now
-            hops = []
-            flags = []
-            for time_s, _nbytes, _kind in chunk:
-                if time_s > now:
-                    now = now + (time_s - now)  # mirrors Timeout's fire time
-                    hops.append(now)
-                    flags.append(True)
-                else:
-                    flags.append(False)
-            timeouts = iter(sim.bulk_timeouts(hops)) if hops else iter(())
-            for sleeps, (_time_s, nbytes, kind) in zip(flags, chunk):
-                if sleeps:
-                    yield next(timeouts)
-                sink(nbytes, kind)
-
         def pump():
-            chunk = []
-            for arrival in self.arrivals(until_s):
-                chunk.append(arrival)
-                if len(chunk) >= _PUMP_CHUNK:
-                    yield from drain(chunk)
-                    chunk = []
-            if chunk:
-                yield from drain(chunk)
+            for time_s, nbytes, kind in self.arrivals(until_s):
+                now = sim._now
+                if time_s > now:
+                    yield sim.timeout(time_s - now)
+                sink(nbytes, kind)
 
         return sim.process(pump(), name=f"{type(self).__name__}-pump")
 

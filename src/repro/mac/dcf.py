@@ -460,7 +460,7 @@ class DcfStation:
             difs_end = fire_at = now + difs_s
             for _ in range(backoff_slots):
                 fire_at += slot_s
-            (countdown,) = sim.bulk_timeouts((fire_at,))
+            countdown = sim.timeout_at(fire_at)
             yield _AnyOf(sim, (countdown, busy))
             if busy._state != 2:  # not processed: the countdown finished
                 return

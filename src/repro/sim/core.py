@@ -1,46 +1,21 @@
 """The simulator: event queue and run loop.
 
-Scheduling is deterministic: queue entries are ordered by
-``(time, priority, sequence)`` where the sequence number increases
-monotonically, so events scheduled for the same instant fire in the order
-they were scheduled (kernel-internal wakeups first).
-
-Queue structure (calendar queue)
---------------------------------
-The pending set is split into two tiers so the hot path pushes into a
-small heap instead of one global heap spanning the whole horizon:
-
-- ``_current`` — a heap holding every entry whose bucket index equals
-  ``_cur_idx`` (the bucket the clock is currently inside).
-- ``_buckets`` — a calendar of *unsorted* lists keyed by bucket index
-  (``int(time * _scale)``), for entries beyond the current bucket.
-  Insertion is a plain ``list.append``.  ``_order`` is a heap of the
-  occupied bucket indices — the far-future overflow structure that tells
-  the kernel which bucket to promote next.
-
-When ``_current`` drains, the lowest occupied bucket is promoted: its
-entries are heapified into ``_current`` and ``_cur_idx`` jumps straight
-to that bucket (empty buckets are never visited, so sparse horizons cost
-nothing).  Total order is preserved exactly because the bucket index
-``int(t * scale)`` is monotone in ``t``: every entry in a future bucket
-compares strictly greater on time than every entry in ``_current``, and
-entries with equal time always share a bucket, where the heap breaks
-ties by ``(priority, seq)`` as before.
+Pending events live in one binary heap of ``(time, priority, seq,
+event)`` entries.  Scheduling is deterministic: ``seq`` is a kernel-wide
+counter that increases with every schedule, so events due at the same
+instant fire in the order they were scheduled (kernel-internal wakeups,
+``URGENT``, first).  ``Timeout.__init__``, ``Event.succeed`` and the
+``Condition`` fire path in ``events.py`` push onto the same heap
+directly instead of calling :meth:`Simulator._schedule`.
 """
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
-from typing import Any, Iterable, List, Optional, Sequence
+from heapq import heappop, heappush
+from typing import Any, Iterable, List, Optional
 
 from repro.sim.events import NORMAL, AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process, ProcessGenerator
-
-#: Default calendar bucket width in seconds.  Chosen so that typical MAC
-#: timescales (µs slots, ms frame times) land in the current bucket —
-#: the fast path — while beacon intervals and session timers spread over
-#: the calendar instead of bloating one heap.
-_DEFAULT_BUCKET_WIDTH_S = 1e-3
 
 
 class SimulationError(RuntimeError):
@@ -77,30 +52,12 @@ class Simulator:
         Optional :class:`repro.obs.bus.TraceBus` to bind; without one,
         ``self.trace`` is a permanently disabled sentinel and
         instrumentation costs one attribute read + branch per site.
-    bucket_width_s:
-        Calendar bucket width.  Purely a performance knob: any positive
-        width yields the identical dispatch order.
     """
 
-    def __init__(
-        self,
-        start_time: float = 0.0,
-        trace: Any = None,
-        bucket_width_s: float = _DEFAULT_BUCKET_WIDTH_S,
-    ) -> None:
-        if bucket_width_s <= 0:
-            raise ValueError(f"bucket width must be positive: {bucket_width_s!r}")
+    def __init__(self, start_time: float = 0.0, trace: Any = None) -> None:
         self._now = float(start_time)
-        self._scale = 1.0 / bucket_width_s
-        self._cur_idx = int(self._now * self._scale)
-        #: Heap of entries in the current bucket (the only sorted tier).
-        self._current: List[tuple] = []
-        #: Unsorted future buckets keyed by ``int(t * _scale)``.
-        self._buckets: dict[int, List[tuple]] = {}
-        #: Heap of occupied future-bucket indices (promotion order).
-        self._order: List[int] = []
-        #: Pending entries in future buckets (current tier uses ``len``).
-        self._future_count = 0
+        #: Heap of pending ``(time, priority, seq, event)`` entries.
+        self._heap: List[tuple] = []
         self._seq = 0
         self._active_process: Optional[Process] = None
         self.trace: Any = _NULL_TRACE
@@ -146,7 +103,7 @@ class Simulator:
     @property
     def queue_depth(self) -> int:
         """Events currently pending in the queue (instantaneous backlog)."""
-        return len(self._current) + self._future_count
+        return len(self._heap)
 
     # -- event factories -------------------------------------------------------
 
@@ -158,58 +115,27 @@ class Simulator:
         """Create an event firing ``delay`` seconds from now."""
         return Timeout(self, delay, value)
 
-    def bulk_timeouts(self, times: Sequence[float], values: Any = None) -> List[Timeout]:
-        """Batch-create timeouts firing at the given *absolute* times.
+    def timeout_at(self, when: float) -> Timeout:
+        """Create an event firing at exactly the absolute time ``when``.
 
-        Equivalent to ``[self.timeout(t - self.now) for t in times]``
-        except that each event fires at exactly its requested absolute
-        time (no ``now + (t - now)`` round-trip through float
-        subtraction) and per-call dispatch overhead is paid once for the
-        whole batch.  ``times`` must be non-decreasing and must not
-        precede the current time.  Sequence numbers are assigned in
-        list order, preserving the deterministic same-instant tie-break.
-
-        Parameters
-        ----------
-        times:
-            Absolute fire times, non-decreasing, each ``>= self.now``.
-        values:
-            Optional per-timeout values (same length as ``times``).
+        Unlike ``timeout(when - now)``, the fire time skips the
+        ``now + (when - now)`` float round trip, so a caller that builds
+        an instant by repeated addition gets that instant bit for bit.
         """
         now = self._now
-        scale = self._scale
-        cur_idx = self._cur_idx
-        current = self._current
-        seq = self._seq
-        created: List[Timeout] = []
-        append = created.append
-        previous = now
-        if values is None:
-            values = [None] * len(times)
-        elif len(values) != len(times):
-            raise ValueError("values must match times in length")
-        for when, value in zip(times, values):
-            if when < previous:
-                raise SimulationError(
-                    f"bulk_timeouts times must be non-decreasing and >= now "
-                    f"(got {when!r} after {previous!r})"
-                )
-            previous = when
-            event = Timeout.__new__(Timeout)
-            event.sim = self
-            event.callbacks = []
-            event.delay = when - now
-            event._state = 1  # _TRIGGERED: fire time fixed at creation
-            event._ok = True
-            event._value = value
-            seq += 1
-            if int(when * scale) <= cur_idx:
-                heappush(current, (when, NORMAL, seq, event))
-            else:
-                self._enqueue_future(when, NORMAL, seq, event)
-            append(event)
+        if when < now:
+            raise SimulationError(f"timeout_at({when!r}) is in the past (now={now!r})")
+        event = Timeout.__new__(Timeout)
+        event.sim = self
+        event.callbacks = []
+        event.delay = when - now
+        event._state = 1  # _TRIGGERED: fire time fixed at creation
+        event._ok = True
+        event._value = None
+        seq = self._seq + 1
         self._seq = seq
-        return created
+        heappush(self._heap, (when, NORMAL, seq, event))
+        return event
 
     def process(self, generator: ProcessGenerator, name: Optional[str] = None) -> Process:
         """Start a new :class:`Process` driving ``generator``."""
@@ -228,62 +154,21 @@ class Simulator:
     def _schedule(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay!r})")
-        when = self._now + delay
         seq = self._seq + 1
         self._seq = seq
-        if int(when * self._scale) <= self._cur_idx:
-            heappush(self._current, (when, priority, seq, event))
-        else:
-            self._enqueue_future(when, priority, seq, event)
-
-    def _enqueue_future(self, when: float, priority: int, seq: int, event: Event) -> None:
-        """Insert an entry into its future calendar bucket.
-
-        Shared slow half of the insert; the fast half (current-bucket
-        heappush) is inlined at each schedule site — ``_schedule`` here
-        plus ``Timeout.__init__`` / ``succeed`` / the Condition fire path
-        in ``events.py``, which must stay in lockstep.
-        """
-        idx = int(when * self._scale)
-        bucket = self._buckets.get(idx)
-        if bucket is None:
-            self._buckets[idx] = bucket = []
-            heappush(self._order, idx)
-        bucket.append((when, priority, seq, event))
-        self._future_count += 1
-
-    def _advance(self) -> bool:
-        """Promote the lowest occupied future bucket into ``_current``.
-
-        Returns False when no future bucket exists (queue fully drained).
-        Only called with ``_current`` empty, so the promoted entries are
-        exactly the next slice of the global order.
-        """
-        order = self._order
-        if not order:
-            return False
-        idx = heappop(order)
-        bucket = self._buckets.pop(idx)
-        self._cur_idx = idx
-        self._future_count -= len(bucket)
-        current = self._current
-        current.extend(bucket)
-        heapify(current)
-        return True
+        heappush(self._heap, (self._now + delay, priority, seq, event))
 
     # -- run loop ----------------------------------------------------------------
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        if not self._current and not self._advance():
-            return float("inf")
-        return self._current[0][0]
+        heap = self._heap
+        return heap[0][0] if heap else float("inf")
 
     def _peek_event(self) -> Optional[Event]:
         """The next event to dispatch, without dispatching it (profilers)."""
-        if not self._current and not self._advance():
-            return None
-        return self._current[0][3]
+        heap = self._heap
+        return heap[0][3] if heap else None
 
     def step(self) -> None:
         """Process exactly one event.
@@ -293,9 +178,9 @@ class Simulator:
         SimulationError
             If the queue is empty.
         """
-        if not self._current and not self._advance():
+        if not self._heap:
             raise SimulationError("step() on an empty event queue")
-        when, _priority, _seq, event = heappop(self._current)
+        when, _priority, _seq, event = heappop(self._heap)
         self._now = when
         callbacks = event.callbacks
         event.callbacks = []  # further appends would never run
@@ -315,9 +200,9 @@ class Simulator:
         their dispatch).  Installed over ``step`` by
         :meth:`attach_trace`.
         """
-        if not self._current and not self._advance():
+        if not self._heap:
             raise SimulationError("step() on an empty event queue")
-        when, _priority, _seq, event = heappop(self._current)
+        when, _priority, _seq, event = heappop(self._heap)
         self._now = when
         trace = self.trace
         if trace.enabled:
@@ -326,7 +211,7 @@ class Simulator:
                 "kernel",
                 "dispatch",
                 event=type(event).__name__,
-                queued=len(self._current) + self._future_count,
+                queued=len(self._heap),
             )
         callbacks = event.callbacks
         event.callbacks = []
@@ -351,34 +236,27 @@ class Simulator:
             # A traced or profiled step shadows the method; preserve the
             # one-call-per-event contract those wrappers rely on.
             step = self.step
+            heap = self._heap
             if until is not None:
-                while True:
-                    if not self._current and not self._advance():
-                        break
-                    if self._current[0][0] > until:
-                        break
+                while heap and heap[0][0] <= until:
                     step()
                 self._now = float(until)
             else:
-                while self._current or self._advance():
+                while heap:
                     step()
             return
         # Fast path: the step body is inlined so the per-event cost is
         # one heappop plus the callback fan-out — no method dispatch,
         # no property descriptors.  Mirrors step() exactly.
         bound = float("inf") if until is None else until
-        current = self._current
+        heap = self._heap
         pop = heappop
-        while True:
-            if not current:
-                if not self._advance():
-                    break
-                continue
-            entry = pop(current)
+        while heap:
+            entry = pop(heap)
             when = entry[0]
             if when > bound:
                 # Crossed the horizon: the entry stays pending.
-                heappush(current, entry)
+                heappush(heap, entry)
                 break
             event = entry[3]
             self._now = when

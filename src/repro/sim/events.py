@@ -11,18 +11,18 @@ run).  Events may succeed with a value or fail with an exception.
 Hot-path note
 -------------
 ``Timeout.__init__``, ``Event.succeed`` and the :class:`Condition` fire
-path inline the simulator's calendar-queue insert instead of calling
+path push onto the simulator's event heap directly instead of calling
 ``Simulator._schedule``: together they account for nearly every event
-the kernel schedules, and the call overhead is measurable at the 1M
-events/s target.  The insert logic must stay in lockstep with
-``Simulator._schedule`` (see ``core.py``); the kernel-ordering property
-tests in ``tests/sim/test_kernel_order.py`` pin the equivalence.
+the kernel schedules, and the call overhead is measurable.  Each is one
+``seq`` bump plus one ``heappush``, the same entry ``_schedule`` builds;
+``tests/sim/test_kernel_order.py`` pins the order against a reference
+heap.
 """
 
 from __future__ import annotations
 
 from heapq import heappush
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.sim.core import Simulator
@@ -94,15 +94,9 @@ class Event:
             return self
         # Inlined immediate schedule (mirrors Simulator._schedule).
         sim = self.sim
-        when = sim._now
         seq = sim._seq + 1
         sim._seq = seq
-        if int(when * sim._scale) <= sim._cur_idx:
-            heappush(sim._current, (when, NORMAL, seq, self))
-        else:
-            # run(until) moved the clock past the current bucket; take
-            # the generic path rather than duplicating bucket creation.
-            sim._enqueue_future(when, NORMAL, seq, self)
+        heappush(sim._heap, (sim._now, NORMAL, seq, self))
         return self
 
     def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
@@ -117,11 +111,6 @@ class Event:
         self.sim._schedule(self, delay, NORMAL)
         return self
 
-    # -- kernel hooks ------------------------------------------------------
-
-    def _mark_processed(self) -> None:
-        self._state = _PROCESSED
-
     def __repr__(self) -> str:
         state = {_PENDING: "pending", _TRIGGERED: "triggered", _PROCESSED: "processed"}
         return f"<{type(self).__name__} {state[self._state]} at {id(self):#x}>"
@@ -133,7 +122,7 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
-        # Inlined Event.__init__ + calendar insert: timeouts are the
+        # Inlined Event.__init__ + heap insert: timeouts are the
         # kernel's hottest allocation and the call overhead is real.
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay!r}")
@@ -143,13 +132,9 @@ class Timeout(Event):
         self._state = _TRIGGERED  # the firing time is fixed at creation
         self._ok = True
         self._value = value
-        when = sim._now + delay
         seq = sim._seq + 1
         sim._seq = seq
-        if int(when * sim._scale) <= sim._cur_idx:
-            heappush(sim._current, (when, NORMAL, seq, self))
-        else:
-            sim._enqueue_future(when, NORMAL, seq, self)
+        heappush(sim._heap, (sim._now + delay, NORMAL, seq, self))
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay!r}>"
@@ -203,9 +188,6 @@ class Condition(Event):
             else:
                 event.callbacks.append(cb)
 
-    def _threshold(self) -> int:
-        return len(self._events) if self._NEEDS_ALL else 1
-
     def _on_sub_event(self, event: Event) -> None:
         if self._state:  # already triggered
             return
@@ -223,13 +205,9 @@ class Condition(Event):
                 e: e._value for e in self._events if e._state == _PROCESSED and e._ok
             }
             sim = self.sim
-            when = sim._now
             seq = sim._seq + 1
             sim._seq = seq
-            if int(when * sim._scale) <= sim._cur_idx:
-                heappush(sim._current, (when, NORMAL, seq, self))
-            else:
-                sim._enqueue_future(when, NORMAL, seq, self)
+            heappush(sim._heap, (sim._now, NORMAL, seq, self))
             self._detach()
 
     def _detach(self) -> None:
@@ -261,8 +239,3 @@ class AllOf(Condition):
 
     __slots__ = ()
     _NEEDS_ALL = True
-
-
-def _describe(event: Optional[Event]) -> str:
-    """Human-readable description of an event for error messages."""
-    return repr(event) if event is not None else "<no event>"

@@ -129,6 +129,45 @@ class TestPump:
         sim.run(until=10.0)
         assert seen == [(0.5, 100, "a"), (2.5, 200, "b")]
 
+    def test_long_trace_sinks_at_timeout_instants(self):
+        # 602 arrivals, each time repeated once, the first two already
+        # due when the pump starts at 0.3.
+        # Each sleep is timeout(t - now), so the sink runs at
+        # now + (t - now): the first sleep lands on 0.9000000000000001,
+        # not 0.9, and every later instant follows from that one.
+        trace = [(0.2, 1, "x"), (0.2, 2, "x")] + [
+            (0.9 + 0.013 * (i // 2), 3 + i, "x") for i in range(600)
+        ]
+        sim = Simulator()
+        sim.run(until=0.3)
+        seen = []
+        TraceTraffic(trace).start(
+            sim, lambda n, k: seen.append((sim.now, n)), until_s=10.0
+        )
+        sim.run(until=10.0)
+
+        expected = []
+        now = 0.3
+        for time_s, nbytes, _kind in trace:
+            if time_s > now:
+                now = now + (time_s - now)
+            expected.append((now, nbytes))
+        assert seen == expected
+        assert seen[:2] == [(0.3, 1), (0.3, 2)]  # past due: no sleep
+        assert seen[2][0] == 0.3 + (0.9 - 0.3) != 0.9
+
+    def test_running_pumps_hold_one_pending_timeout_each(self):
+        sim = Simulator()
+        pumps = 8
+        for _ in range(pumps):
+            Mp3Stream().start(sim, lambda n, k: None, until_s=20.0)
+        deepest = 0
+        while sim.peek() <= 20.0:
+            sim.step()
+            deepest = max(deepest, sim.queue_depth)
+        assert sim.now > 19.9
+        assert deepest <= pumps + 1
+
 
 def test_merge_arrivals_ordered():
     a = TraceTraffic([(1.0, 10, "a"), (3.0, 10, "a")])

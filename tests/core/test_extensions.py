@@ -155,6 +155,28 @@ class TestCli:
         fleet = parser.parse_args(["fleet"])
         assert (fleet.clients, fleet.duration) == (24, 120.0)
 
+    def test_fleet_store_without_shards_exits_2(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        store = tmp_path / "store"
+        code = main([
+            "fleet", "--duration", "2", "--clients", "2", "--store", str(store),
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--shards" in captured.err
+        assert not store.exists()
+
+    @pytest.mark.parametrize("grid", ["0x3", "banana", "3x"])
+    def test_fleet_bad_grid_exits_2(self, grid, capsys):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fleet", "--duration", "2", "--clients", "2", "--grid", grid])
+        assert excinfo.value.code == 2
+        assert "--grid" in capsys.readouterr().err
+
 
 class TestCliSweeps:
     def test_sweep_schedulers_runs(self, capsys):

@@ -142,8 +142,7 @@ def run_world(station_cls, medium_cls, cw, draws, jams, frames, with_radio):
         reference = 0.0  # the stations' countdowns (re)start at a busy end
         for where, slots, nbytes in jams:
             instant = jam_instant(reference, where, slots, timing)
-            (timer,) = sim.bulk_timeouts((instant,))
-            yield timer
+            yield sim.timeout_at(instant)
             yield Timeout(sim, 0.0)
             yield medium.transmit(
                 Frame(

@@ -1,25 +1,26 @@
-"""Kernel-ordering property tests: calendar queue vs a reference heap.
+"""Kernel-ordering property tests: the simulator vs a reference heap.
 
-The calendar-queue scheduler in ``Simulator`` (and the inlined inserts in
-``events.py``) must dispatch in *exactly* the total order a single global
-heap over ``(time, priority, seq)`` would produce — the scenario goldens
-byte-pin this, and these tests pin it at the kernel level with random
-schedules, cascading (run-time) schedules and bulk timeouts.
+``Simulator`` (and the inlined inserts in ``events.py``) must dispatch in
+*exactly* the total order a plain heap over ``(time, priority, seq)``
+produces — the scenario goldens byte-pin this, and these tests pin it at
+the kernel level with random schedules, cascading (run-time) schedules
+and absolute-time timeouts.
 """
 
 import heapq
 import itertools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Simulator
-from repro.sim.core import Simulator as CoreSimulator
+from repro.sim.core import SimulationError
 from repro.sim.events import NORMAL, URGENT, Event
 from repro.sim.resources import PriorityStore, Store
 
-# Delays that straddle the default 1 ms bucket width from both sides,
-# including exact bucket multiples (the truncation boundary).
+# Delays from sub-microsecond to minutes, with exact repeats so equal
+# fire times (the seq tie-break) come up often.
 delay_values = st.one_of(
     st.floats(min_value=0.0, max_value=1e-4, allow_nan=False, allow_infinity=False),
     st.floats(min_value=0.0, max_value=10.0, allow_nan=False, allow_infinity=False),
@@ -32,11 +33,9 @@ schedule_entries = st.lists(
     max_size=60,
 )
 
-bucket_widths = st.sampled_from([1e-6, 1e-3, 0.1, 1.0, 64.0])
-
 
 class ReferenceKernel:
-    """The pre-calendar scheduler: one global heap, nothing else."""
+    """The order contract spelled out: one global heap, nothing else."""
 
     def __init__(self):
         self._heap = []
@@ -84,11 +83,11 @@ def _run_program(sim, initial, program):
     return fired
 
 
-@given(schedule_entries, bucket_widths)
+@given(schedule_entries)
 @settings(max_examples=60)
-def test_flat_schedule_matches_reference_heap(entries, width):
+def test_flat_schedule_matches_reference_heap(entries):
     """Random up-front schedules dispatch in reference-heap order."""
-    sim = CoreSimulator(bucket_width_s=width)
+    sim = Simulator()
     reference = ReferenceKernel()
     fired = []
     for tag, (delay, priority) in enumerate(entries):
@@ -105,11 +104,10 @@ def test_flat_schedule_matches_reference_heap(entries, width):
     st.lists(st.lists(st.tuples(delay_values, st.sampled_from([URGENT, NORMAL])),
                       max_size=4),
              min_size=1, max_size=12),
-    bucket_widths,
 )
 @settings(max_examples=60)
-def test_cascading_schedule_matches_reference_heap(roots, spawn_lists, width):
-    """Events scheduled *while running* (crossing buckets) keep the order."""
+def test_cascading_schedule_matches_reference_heap(roots, spawn_lists):
+    """Events scheduled *while running* keep the reference order."""
     # program: tag -> children spawned when the tag fires.  Child tags are
     # fresh so the cascade terminates after one generation.
     program = {}
@@ -125,7 +123,7 @@ def test_cascading_schedule_matches_reference_heap(roots, spawn_lists, width):
         (tag, delay, priority) for tag, (delay, priority) in enumerate(roots)
     ]
 
-    sim = CoreSimulator(bucket_width_s=width)
+    sim = Simulator()
     fired = _run_program(sim, initial, program)
 
     reference = ReferenceKernel()
@@ -141,11 +139,11 @@ def test_cascading_schedule_matches_reference_heap(roots, spawn_lists, width):
     st.lists(delay_values, max_size=10),
 )
 @settings(max_examples=60)
-def test_bulk_timeouts_match_individual_timeouts(delays, rival_delays):
-    """bulk_timeouts dispatches exactly like the same Timeouts made singly.
+def test_timeout_at_matches_individual_timeouts(delays, rival_delays):
+    """timeout_at dispatches exactly like the same Timeouts made singly.
 
-    Rival timeouts created *before* the batch check that tie-breaking by
-    sequence number is preserved (the batch's seqs all come after them).
+    Rival timeouts created *before* the absolute ones check that the
+    same-instant tie-break by sequence number is preserved.
     """
     offsets = sorted(delays)
 
@@ -156,7 +154,7 @@ def test_bulk_timeouts_match_individual_timeouts(delays, rival_delays):
         timeout.callbacks.append(lambda _e, i=i: order_a.append(("rival", i)))
     for i, offset in enumerate(offsets):
         timeout = sim_a.timeout(offset)
-        timeout.callbacks.append(lambda _e, i=i: order_a.append(("bulk", i)))
+        timeout.callbacks.append(lambda _e, i=i: order_a.append(("abs", i)))
     sim_a.run()
 
     sim_b = Simulator()
@@ -164,13 +162,32 @@ def test_bulk_timeouts_match_individual_timeouts(delays, rival_delays):
     for i, delay in enumerate(rival_delays):
         timeout = sim_b.timeout(delay)
         timeout.callbacks.append(lambda _e, i=i: order_b.append(("rival", i)))
-    batch = sim_b.bulk_timeouts([sim_b.now + offset for offset in offsets])
-    for i, timeout in enumerate(batch):
-        timeout.callbacks.append(lambda _e, i=i: order_b.append(("bulk", i)))
+    for i, offset in enumerate(offsets):
+        timeout = sim_b.timeout_at(sim_b.now + offset)
+        timeout.callbacks.append(lambda _e, i=i: order_b.append(("abs", i)))
     sim_b.run()
 
     assert order_a == order_b
     assert sim_a.events_scheduled == sim_b.events_scheduled
+
+
+def test_timeout_at_fires_at_exactly_when():
+    """No ``now + (when - now)`` round trip: the clock lands on ``when``."""
+    sim = Simulator(start_time=0.3)
+    when = 0.9
+    assert sim.now + (when - sim.now) != when  # 0.9000000000000001
+    fired = []
+    sim.timeout_at(when).callbacks.append(lambda _e: fired.append(sim.now))
+    sim.run()
+    assert fired == [when]
+    assert sim.now == when
+
+
+def test_timeout_at_rejects_the_past():
+    sim = Simulator(start_time=1.0)
+    with pytest.raises(SimulationError):
+        sim.timeout_at(0.5)
+    assert sim.queue_depth == 0
 
 
 @given(st.lists(delay_values, min_size=2, max_size=30), delay_values)
@@ -197,7 +214,7 @@ def test_run_until_horizon_preserves_pending_order(delays, horizon):
     assert fired[: len(before_horizon)] == before_horizon
 
 
-def test_peek_advances_across_empty_buckets():
+def test_peek_reports_a_distant_event_then_run_reaches_it():
     sim = Simulator()
     sim.timeout(5.0)
     assert sim.peek() == 5.0
