@@ -6,7 +6,10 @@ identical** merged results at every shard count — ``--shards`` chooses
 process placement, never behaviour — and (b) buy wall-clock speedup on
 multi-core machines.  Every point runs the same ``FleetSpec`` at each
 shard count, compares the ``dumps_strict`` payloads, and records the
-speedup of the widest run over ``shards=1``.
+speedup of the widest run over ``shards=1``.  Each point also times one
+unsharded ``WorldBuilder(spec).run()`` of the same spec and records the
+widest run's speedup over it (``speedup_vs_unsharded``), the baseline
+that says whether sharding pays at all.
 
 Results land in ``benchmarks/BENCH_shard.json``;
 ``scripts/check_bench.py`` gates CI on the identity bit always and on
@@ -28,6 +31,7 @@ import sys
 import time
 from pathlib import Path
 
+from repro.build import WorldBuilder
 from repro.build.presets import city_grid_world
 from repro.exp.jsonio import dumps_strict
 from repro.shard import run_sharded_fleet
@@ -68,6 +72,9 @@ def run_shard_scaling(points=FLEET_POINTS, duration_s=None,
             duration_s=sim_duration,
             seed=0,
         )
+        started = time.perf_counter()
+        WorldBuilder(spec).run()
+        unsharded_s = time.perf_counter() - started
         reference = None
         runs = []
         for shards in shard_counts:
@@ -99,6 +106,10 @@ def run_shard_scaling(points=FLEET_POINTS, duration_s=None,
                 "identical": all(r["identical"] for r in runs),
                 "runs": runs,
                 "speedup": base / widest if widest > 0 else 0.0,
+                "unsharded_wall_time_s": unsharded_s,
+                "speedup_vs_unsharded": (
+                    unsharded_s / widest if widest > 0 else 0.0
+                ),
                 "gate": point["gate"],
             }
         )
@@ -133,16 +144,18 @@ def render_rows(rows):
                 row["n_clients"],
                 row["n_aps"],
                 row["sim_events"],
+                f"{row['unsharded_wall_time_s']:.1f}s",
                 " / ".join(
                     f"{walls[s]:.1f}s@{s}" for s in sorted(walls)
                 ),
                 f"{row['speedup']:.2f}x",
+                f"{row['speedup_vs_unsharded']:.2f}x",
                 "yes" if row["identical"] else "NO",
             ]
         )
     return format_table(
-        ["point", "clients", "APs", "events", "wall by shards",
-         "speedup", "identical"],
+        ["point", "clients", "APs", "events", "unsharded", "wall by shards",
+         "speedup", "vs unsharded", "identical"],
         body,
         title=f"Sharded fleet scaling ({os.cpu_count()} CPUs)",
     )

@@ -104,9 +104,10 @@ class Mp3Stream(TrafficSource):
         return max(int(self.bitrate_bps * MP3_FRAME_INTERVAL_S / 8.0), 1)
 
     def arrivals(self, until_s: float) -> Iterator[Arrival]:
+        frame_bytes = self.frame_bytes
         time_s = 0.0
         while time_s < until_s:
-            nbytes = self.frame_bytes
+            nbytes = frame_bytes
             if self.vbr_fraction > 0:
                 scale = 1.0 + self.rng.uniform(-self.vbr_fraction, self.vbr_fraction)
                 nbytes = max(int(nbytes * scale), 1)

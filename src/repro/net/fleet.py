@@ -22,6 +22,7 @@ single cell never needed:
 
 from __future__ import annotations
 
+import functools
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.interfaces import (
@@ -289,12 +290,12 @@ class FleetCoordinator:
         session.backlog_bytes += nbytes
 
     def sink_for(self, client_name: str):
-        """A TrafficSource-compatible sink bound to one client."""
+        """A TrafficSource-compatible sink bound to one client.
 
-        def sink(nbytes: int, kind: str) -> None:
-            self.ingest(client_name, nbytes, kind)
-
-        return sink
+        A ``partial`` rather than a closure, so each delivered arrival
+        costs one Python frame (:meth:`ingest`'s) instead of two.
+        """
+        return functools.partial(self.ingest, client_name)
 
     # -- lifecycle -------------------------------------------------------------
 

@@ -16,6 +16,12 @@ between an SNR floor and ceiling — so the footprint falls out of
 "Bluetooth dies first" behaviour *per cell*: a roaming client loses the
 Bluetooth link to its current site long before the WLAN link, and loses
 WLAN before the next site takes over.
+
+Coverage queries cost O(sites in range): a site whose path-loss model
+has an exact inverse knows its ``reach_m``, the distance from which
+every radio's quality is exactly ``0.0``, and :class:`Topology` buckets
+such sites on a grid as wide as the largest reach (DESIGN.md "Coverage
+queries").
 """
 
 from __future__ import annotations
@@ -27,6 +33,12 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.phy.channel import LogDistancePathLoss, snr_db_from_link_budget
 
 Position = Tuple[float, float]
+
+#: Relative padding of a site's reach over the distance where its
+#: strongest radio's SNR meets the floor.  It buys ~4e-6 dB per unit of
+#: path-loss exponent, far above the float error of the loss and SNR
+#: arithmetic, so quality is exactly 0.0 from ``reach_m`` outwards.
+REACH_PAD = 1e-6
 
 
 @dataclass(frozen=True)
@@ -80,7 +92,10 @@ class AccessPointSite:
         testbed server.
     path_loss:
         Propagation model with ``loss_db(distance_m)``; defaults to
-        indoor log-distance with exponent 3.5.
+        indoor log-distance with exponent 3.5.  A model that also has
+        ``distance_at_loss_db(loss_db)``, the exact inverse of a
+        non-decreasing ``loss_db``, gives the site a finite ``reach_m``;
+        any other model (e.g. shadowing) leaves it at ``inf``.
     """
 
     def __init__(
@@ -102,6 +117,27 @@ class AccessPointSite:
         if not self.radios:
             raise ValueError("site needs at least one radio")
         self.path_loss = path_loss or LogDistancePathLoss(exponent=3.5)
+        self.reach_m = self._reach_m()
+
+    def _reach_m(self) -> float:
+        """Distance from which every radio's quality is exactly 0.0.
+
+        Quality is 0.0 once the SNR is at or below the floor, i.e. once
+        the path loss reaches ``tx - noise - floor``; the inverse turns
+        the largest such loss into a distance, padded by
+        :data:`REACH_PAD`.
+        """
+        inverse = getattr(self.path_loss, "distance_at_loss_db", None)
+        if inverse is None:
+            return math.inf
+        edge = max(
+            inverse(
+                budget.tx_power_dbm - budget.noise_floor_dbm - budget.snr_floor_db
+            )
+            for budget in self.radios.values()
+        )
+        # A NaN or negative inverse is no bound at all.
+        return edge * (1.0 + REACH_PAD) if edge >= 0.0 else math.inf
 
     def distance_to(self, xy: Position) -> float:
         return math.hypot(xy[0] - self.xy[0], xy[1] - self.xy[1])
@@ -118,12 +154,16 @@ class AccessPointSite:
 
         The association/handoff signal: a client belongs to the cell
         whose *best* link serves it, and interface selection inside the
-        cell then picks which radio actually carries the bursts.
+        cell then picks which radio actually carries the bursts.  One
+        path-loss evaluation serves every radio (so a shadowing model
+        draws one sample per call), and none is made from ``reach_m``
+        outwards.
         """
-        return max(
-            budget.quality(self.path_loss.loss_db(self.distance_to(xy)))
-            for budget in self.radios.values()
-        )
+        distance = self.distance_to(xy)
+        if distance >= self.reach_m:
+            return 0.0
+        loss_db = self.path_loss.loss_db(distance)
+        return max(budget.quality(loss_db) for budget in self.radios.values())
 
     def coverage_radius_m(
         self, kind: str, min_quality: float = 0.05, max_radius_m: float = 10_000.0
@@ -153,16 +193,55 @@ class AccessPointSite:
         )
 
 
+class _SiteIndex:
+    """Grid buckets over a topology's sites, for coverage queries.
+
+    A bucket is as wide as the largest finite ``reach_m``, so a site can
+    only cover a point in its own bucket or one of the eight around it.
+    ``near`` maps each bucket to the bounded sites of its 3x3
+    neighbourhood; sites without a finite reach are candidates of every
+    query.  Candidates keep insertion order.
+    """
+
+    def __init__(self, sites: Iterable[AccessPointSite]) -> None:
+        sites = list(sites)
+        self.by_name = sorted(sites, key=lambda site: site.name)
+        self.unbounded = tuple(site for site in sites if site.reach_m == math.inf)
+        # A zero reach covers nothing, so such a site is never a candidate.
+        bounded = [site for site in sites if 0.0 < site.reach_m < math.inf]
+        self.bucket_m = max((site.reach_m for site in bounded), default=1.0)
+        near: Dict[Tuple[int, int], List[AccessPointSite]] = {}
+        for site in bounded:
+            col, row = self.bucket(site.xy)
+            for d_col in (-1, 0, 1):
+                for d_row in (-1, 0, 1):
+                    near.setdefault((col + d_col, row + d_row), []).append(site)
+        self.near = {key: tuple(group) for key, group in near.items()}
+
+    def bucket(self, xy: Position) -> Tuple[int, int]:
+        return (
+            math.floor(xy[0] / self.bucket_m),
+            math.floor(xy[1] / self.bucket_m),
+        )
+
+    def candidates(self, xy: Position) -> Tuple[AccessPointSite, ...]:
+        """Every site that can have positive quality at ``xy``."""
+        return self.near.get(self.bucket(xy), ()) + self.unbounded
+
+
 class Topology:
     """The deployment's set of sites, with coverage queries.
 
     Sites are held in insertion order; every ranked query breaks quality
     ties on the site name, so identical deployments yield identical
     association and handoff decisions regardless of construction details.
+    Queries score only the sites a grid index says can reach the
+    position; every other site's quality is exactly 0.0.
     """
 
     def __init__(self, sites: Iterable[AccessPointSite] = ()) -> None:
         self._sites: Dict[str, AccessPointSite] = {}
+        self._index: Optional[_SiteIndex] = None
         for site in sites:
             self.add_site(site)
 
@@ -170,7 +249,13 @@ class Topology:
         if site.name in self._sites:
             raise ValueError(f"site {site.name!r} already placed")
         self._sites[site.name] = site
+        self._index = None
         return site
+
+    def _coverage_index(self) -> _SiteIndex:
+        if self._index is None:
+            self._index = _SiteIndex(self._sites.values())
+        return self._index
 
     def site(self, name: str) -> AccessPointSite:
         try:
@@ -199,19 +284,54 @@ class Topology:
         return self.site(site_name).cell_quality(xy)
 
     def ranked_sites(self, xy: Position) -> List[Tuple[AccessPointSite, float]]:
-        """Sites by descending cell quality at ``xy`` (name tie-break)."""
-        ranked = [(site, site.cell_quality(xy)) for site in self._sites.values()]
+        """Every site by descending cell quality at ``xy`` (name tie-break).
+
+        The covering sites come first; every other site follows at 0.0
+        in name order.
+        """
+        index = self._coverage_index()
+        ranked = []
+        for site in index.candidates(xy):
+            quality = site.cell_quality(xy)
+            if quality > 0.0:
+                ranked.append((site, quality))
         ranked.sort(key=lambda pair: (-pair[1], pair[0].name))
+        covering = {site for site, _quality in ranked}
+        ranked.extend(
+            (site, 0.0) for site in index.by_name if site not in covering
+        )
         return ranked
 
     def best_site(
-        self, xy: Position, exclude: Tuple[str, ...] = ()
+        self, xy: Position, exclude: Iterable[str] = ()
     ) -> Optional[Tuple[AccessPointSite, float]]:
-        """The best-quality site at ``xy``, or None if all are excluded."""
-        ranked = [
-            pair for pair in self.ranked_sites(xy) if pair[0].name not in exclude
-        ]
-        return ranked[0] if ranked else None
+        """The first of :meth:`ranked_sites` not named in ``exclude``.
+
+        None when every site is excluded.  ``exclude`` is a collection
+        of names; a bare ``str`` is rejected rather than read as one.
+        """
+        if isinstance(exclude, str):
+            raise TypeError(
+                f"exclude takes a collection of site names, not the str {exclude!r}"
+            )
+        excluded = frozenset(exclude)
+        index = self._coverage_index()
+        best = None
+        best_quality = 0.0
+        for site in index.candidates(xy):
+            if site.name in excluded:
+                continue
+            quality = site.cell_quality(xy)
+            if quality > best_quality or (
+                quality == best_quality and best is not None and site.name < best.name
+            ):
+                best, best_quality = site, quality
+        if best is not None:
+            return best, best_quality
+        for site in index.by_name:
+            if site.name not in excluded:
+                return site, 0.0
+        return None
 
     def __repr__(self) -> str:
         return f"<Topology sites={self.site_names()}>"

@@ -3,7 +3,8 @@
 Provides the pieces the survey's link-adaptation techniques react to:
 
 - deterministic path loss (:class:`FreeSpacePathLoss`,
-  :class:`LogDistancePathLoss`) and :class:`LogNormalShadowing`;
+  :class:`LogDistancePathLoss`, each with its exact inverse
+  ``distance_at_loss_db``) and :class:`LogNormalShadowing`;
 - modulation-dependent bit-error-rate curves (:func:`ber`) and the
   resulting packet error rate (:func:`packet_error_rate`);
 - the classic :class:`GilbertElliottChannel` two-state burst-error model,
@@ -202,6 +203,20 @@ class FreeSpacePathLoss:
         wavelength = _LIGHT_SPEED_M_S / self.frequency_hz
         return 20.0 * math.log10(4.0 * math.pi * distance / wavelength)
 
+    def distance_at_loss_db(self, loss_db: float) -> float:
+        """Distance at which :meth:`loss_db` reaches ``loss_db``.
+
+        The exact inverse of the Friis curve above its centimetre clamp;
+        a loss at or below the clamp's maps to the clamp distance, and
+        one too large for a float distance maps to ``inf``.
+        """
+        wavelength = _LIGHT_SPEED_M_S / self.frequency_hz
+        try:
+            distance = wavelength / (4.0 * math.pi) * 10.0 ** (loss_db / 20.0)
+        except OverflowError:
+            return math.inf
+        return max(distance, 0.01)
+
 
 class LogDistancePathLoss:
     """Log-distance path loss with configurable exponent.
@@ -236,9 +251,29 @@ class LogDistancePathLoss:
             distance / self.reference_distance_m
         )
 
+    def distance_at_loss_db(self, loss_db: float) -> float:
+        """Distance at which :meth:`loss_db` reaches ``loss_db``.
+
+        The exact inverse of the log-distance curve above its
+        reference-distance clamp; a loss at or below the reference loss
+        maps to the reference distance, and one too large for a float
+        distance maps to ``inf``.
+        """
+        try:
+            distance = self.reference_distance_m * 10.0 ** (
+                (loss_db - self.reference_loss_db) / (10.0 * self.exponent)
+            )
+        except OverflowError:
+            return math.inf
+        return max(distance, self.reference_distance_m)
+
 
 class LogNormalShadowing:
-    """Additive log-normal shadowing on top of a deterministic path loss."""
+    """Additive log-normal shadowing on top of a deterministic path loss.
+
+    It has no ``distance_at_loss_db``: a Gaussian sample has no bound, so
+    no distance guarantees a loss.
+    """
 
     def __init__(self, path_loss, sigma_db: float, rng: Random) -> None:
         if sigma_db < 0:

@@ -46,6 +46,36 @@ class TestPathLoss:
         model = LogDistancePathLoss(exponent=3.0, reference_distance_m=1.0)
         assert model.loss_db(0.1) == model.loss_db(1.0)
 
+    @pytest.mark.parametrize(
+        "model",
+        [
+            FreeSpacePathLoss(),
+            FreeSpacePathLoss(5.0e9),
+            LogDistancePathLoss(exponent=3.5),
+            LogDistancePathLoss(exponent=2.2, reference_distance_m=4.0),
+        ],
+    )
+    def test_distance_at_loss_inverts_loss(self, model):
+        for distance in (0.5, 3.0, 25.0, 71.7, 400.0, 9_000.0):
+            if distance < getattr(model, "reference_distance_m", 0.01):
+                continue
+            loss = model.loss_db(distance)
+            assert model.distance_at_loss_db(loss) == pytest.approx(distance, rel=1e-12)
+
+    def test_distance_at_loss_clamps_like_loss(self):
+        free = FreeSpacePathLoss()
+        assert free.distance_at_loss_db(-500.0) == 0.01
+        log = LogDistancePathLoss(exponent=3.0, reference_distance_m=2.0)
+        assert log.distance_at_loss_db(log.loss_db(0.5) - 10.0) == 2.0
+
+    def test_distance_at_an_unreachable_loss_is_infinite(self):
+        assert FreeSpacePathLoss().distance_at_loss_db(1e5) == math.inf
+        assert LogDistancePathLoss(exponent=0.01).distance_at_loss_db(1e3) == math.inf
+
+    def test_shadowing_has_no_inverse(self):
+        shadowed = LogNormalShadowing(FreeSpacePathLoss(), 4.0, random.Random(0))
+        assert not hasattr(shadowed, "distance_at_loss_db")
+
     def test_shadowing_is_zero_mean(self):
         base = LogDistancePathLoss(exponent=3.0)
         shadowed = LogNormalShadowing(base, sigma_db=6.0, rng=random.Random(1))
