@@ -45,10 +45,10 @@ def run_overload(scheduler_name):
             sim, name, contract,
             {"bluetooth": bluetooth_interface(sim, name=f"{name}/bt")},
         )
-        server.register(client)
+        session = server.register(client)
         server.ingest(name, int(30.0 * rate / 8.0))
-        Mp3Stream(bitrate_bps=rate).start(
-            sim, server.sink_for(name), until_s=DURATION_S
+        session.cursor = Mp3Stream(bitrate_bps=rate).cursor(
+            sim, until_s=DURATION_S
         )
         clients.append(client)
     server.start()

@@ -11,6 +11,12 @@ unsharded ``WorldBuilder(spec).run()`` of the same spec and records the
 widest run's speedup over it (``speedup_vs_unsharded``), the baseline
 that says whether sharding pays at all.
 
+Every configuration is timed in a fresh interpreter (this script
+re-invoked with ``--child``), so imports, caches and the allocator start
+cold for each one and the first configuration pays nothing the others
+do not.  Shard counts are capped at ``os.cpu_count()``: more workers
+than cores only measures the scheduler.
+
 Results land in ``benchmarks/BENCH_shard.json``;
 ``scripts/check_bench.py`` gates CI on the identity bit always and on
 the >=2x speedup of the gate point only when the machine actually has
@@ -25,18 +31,23 @@ Runs two ways:
 """
 
 import argparse
+import hashlib
 import json
 import os
+import subprocess
 import sys
 import time
 from pathlib import Path
 
+import repro
 from repro.build import WorldBuilder
 from repro.build.presets import city_grid_world
 from repro.exp.jsonio import dumps_strict
 from repro.shard import run_sharded_fleet
 
 SHARD_COUNTS = (1, 4)
+#: Keys of a point that choose its ``city_grid_world`` spec.
+SPEC_KEYS = ("n_clients", "grid_rows", "grid_cols", "duration_s")
 #: The two headline deployments: the gated 1k point (dense enough to
 #: parallelise, small enough for CI) and the 10k-walker city block.
 FLEET_POINTS = (
@@ -60,49 +71,99 @@ FLEET_POINTS = (
 RECORD_PATH = Path(__file__).resolve().parent / "BENCH_shard.json"
 
 
+def capped_shard_counts(shard_counts):
+    """``shard_counts`` without counts above the CPU count, in order."""
+    cpus = os.cpu_count() or 1
+    capped = []
+    for shards in shard_counts:
+        shards = min(shards, cpus)
+        if shards not in capped:
+            capped.append(shards)
+    return tuple(capped)
+
+
+def time_configuration(spec_args, shards):
+    """One configuration, timed in a fresh interpreter.
+
+    ``shards=0`` is the unsharded ``WorldBuilder(spec).run()``.  Returns
+    the child's wall time and a digest of its merged payload (sharded
+    runs only), plus the record fields the table shows.
+    """
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    out = subprocess.run(
+        [
+            sys.executable,
+            str(Path(__file__).resolve()),
+            "--child",
+            json.dumps(spec_args),
+            str(shards),
+        ],
+        check=True,
+        capture_output=True,
+        text=True,
+        env=env,
+    ).stdout
+    return json.loads(out.strip().splitlines()[-1])
+
+
+def _child(spec_args, shards):
+    spec = city_grid_world(seed=0, **spec_args)
+    started = time.perf_counter()
+    if shards == 0:
+        WorldBuilder(spec).run()
+        result = {}
+    else:
+        merged = run_sharded_fleet(spec, shards=shards)
+        record = merged["record"]
+        result = {
+            "digest": hashlib.sha256(
+                dumps_strict(merged, sort_keys=True).encode()
+            ).hexdigest(),
+            "sim_events": record["sim_events"],
+            "qos_maintained": record["qos_maintained"],
+            "handoffs": record["handoffs"],
+        }
+    result["wall_time_s"] = time.perf_counter() - started
+    print(json.dumps(result))
+
+
 def run_shard_scaling(points=FLEET_POINTS, duration_s=None,
                       shard_counts=SHARD_COUNTS):
+    shard_counts = capped_shard_counts(shard_counts)
     rows = []
     for point in points:
-        sim_duration = duration_s or point["duration_s"]
-        spec = city_grid_world(
-            n_clients=point["n_clients"],
-            grid_rows=point["grid_rows"],
-            grid_cols=point["grid_cols"],
-            duration_s=sim_duration,
-            seed=0,
-        )
-        started = time.perf_counter()
-        WorldBuilder(spec).run()
-        unsharded_s = time.perf_counter() - started
+        spec_args = {key: point[key] for key in SPEC_KEYS}
+        if duration_s:
+            spec_args["duration_s"] = duration_s
+        unsharded_s = time_configuration(spec_args, 0)["wall_time_s"]
         reference = None
         runs = []
         for shards in shard_counts:
-            started = time.perf_counter()
-            merged = run_sharded_fleet(spec, shards=shards)
-            wall_s = time.perf_counter() - started
-            payload = dumps_strict(merged, sort_keys=True)
+            child = time_configuration(spec_args, shards)
             if reference is None:
-                reference = payload
+                reference = child
             runs.append(
                 {
                     "shards": shards,
-                    "wall_time_s": wall_s,
-                    "identical": payload == reference,
+                    "wall_time_s": child["wall_time_s"],
+                    "identical": child["digest"] == reference["digest"],
                 }
             )
         base = runs[0]["wall_time_s"]
         widest = runs[-1]["wall_time_s"]
-        record = merged["record"]
         rows.append(
             {
                 "scenario": point["scenario"],
                 "n_clients": point["n_clients"],
                 "n_aps": point["grid_rows"] * point["grid_cols"],
-                "sim_duration_s": sim_duration,
-                "sim_events": record["sim_events"],
-                "qos_maintained": record["qos_maintained"],
-                "handoffs": record["handoffs"],
+                "sim_duration_s": spec_args["duration_s"],
+                "sim_events": reference["sim_events"],
+                "qos_maintained": reference["qos_maintained"],
+                "handoffs": reference["handoffs"],
                 "identical": all(r["identical"] for r in runs),
                 "runs": runs,
                 "speedup": base / widest if widest > 0 else 0.0,
@@ -197,7 +258,14 @@ def main(argv=None):
         type=lambda v: tuple(int(x) for x in v.split(",")),
         default=SHARD_COUNTS,
         metavar="N,M",
-        help="comma-separated shard counts to compare (default: 1,4)",
+        help="comma-separated shard counts to compare, each capped at "
+        "the CPU count (default: 1,4)",
+    )
+    parser.add_argument(
+        "--child",
+        nargs=2,
+        metavar=("SPEC_JSON", "SHARDS"),
+        help=argparse.SUPPRESS,
     )
     parser.add_argument(
         "--out",
@@ -207,6 +275,9 @@ def main(argv=None):
         help="where to write the BENCH_shard.json record",
     )
     args = parser.parse_args(argv)
+    if args.child:
+        _child(json.loads(args.child[0]), int(args.child[1]))
+        return 0
     points = FLEET_POINTS
     if args.point:
         points = tuple(p for p in FLEET_POINTS if p["scenario"] == args.point)

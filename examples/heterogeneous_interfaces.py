@@ -46,10 +46,10 @@ def main() -> None:
     )
     client = HotspotClient(sim, "roamer", contract, interfaces)
     server = HotspotServer(sim, scheduler="edf", min_burst_bytes=12_000)
-    server.register(client)
+    session = server.register(client)
     server.ingest("roamer", int(30.0 * BITRATE_BPS / 8))  # proxy prefetch
-    Mp3Stream(bitrate_bps=BITRATE_BPS).start(
-        sim, server.sink_for("roamer"), until_s=DURATION_S
+    session.cursor = Mp3Stream(bitrate_bps=BITRATE_BPS).cursor(
+        sim, until_s=DURATION_S
     )
     server.start()
     sim.run(until=DURATION_S)

@@ -1,18 +1,30 @@
 """Application traffic generators.
 
 All sources share one shape: :meth:`arrivals` lazily yields
-``(time_s, nbytes, kind)`` tuples with non-decreasing times, which both
-the analytical benches and the DES pump (:meth:`TrafficSource.start`)
-consume.  The MP3 model matches the paper's evaluation workload
-("high-quality MP3 audio"): MPEG-1 Layer III frames carry 1152 samples,
-so at 44.1 kHz a frame lands every ~26.12 ms and carries
-``bitrate × 0.02612 / 8`` bytes.
+``(time_s, nbytes, kind)`` tuples with non-decreasing times.  The
+simulator consumes them two ways, which agree arrival for arrival
+because both place each arrival at the same instant, given by
+:func:`fire_instant`:
+
+- **pushed**, by :meth:`TrafficSource.start`: a pump process sleeps
+  until each arrival and hands it to a sink.  Packet-level MACs need
+  this, since a frame arrival must wake the MAC.
+- **pulled**, by :class:`ArrivalCursor`: the arrivals due by the current
+  instant are settled when someone reads them, with no event at all.
+  Burst-level delivery (the Hotspot proxy, the fleet) only ever looks at
+  a session's backlog at a scheduling round, so it reads a cursor.
+
+The MP3 model matches the paper's evaluation workload ("high-quality MP3
+audio"): MPEG-1 Layer III frames carry 1152 samples, so at 44.1 kHz a
+frame lands every ~26.12 ms and carries ``bitrate × 0.02612 / 8`` bytes.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, List, Optional, Tuple
 
+from repro.sim.events import NORMAL
 from repro.sim.streams import Random
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -23,6 +35,21 @@ Arrival = Tuple[float, int, str]
 
 #: Samples per MPEG-1 Layer III frame / the standard sample rate.
 MP3_FRAME_INTERVAL_S = 1152 / 44_100.0
+
+
+def fire_instant(previous_s: float, time_s: float) -> float:
+    """The instant an arrival stamped ``time_s`` is delivered.
+
+    ``previous_s`` is the instant of the previous delivery, or the start
+    instant for the first arrival.  A future arrival is slept towards
+    with a timeout of ``time_s - previous_s``, which fires at
+    ``previous_s + (time_s - previous_s)``: not always exactly
+    ``time_s``, and the scenario goldens pin those instants.  An arrival
+    that is not in the future is delivered at ``previous_s``.
+    """
+    if time_s > previous_s:
+        return previous_s + (time_s - previous_s)
+    return previous_s
 
 
 class TrafficSource:
@@ -50,22 +77,148 @@ class TrafficSource:
     ):
         """Pump arrivals into ``sink(nbytes, kind)`` in simulated time.
 
-        One timeout per arrival, created only when the previous one has
-        fired, so a running pump holds at most one pending event.  The
-        sleep is ``timeout(t - now)``, which fires at ``now + (t - now)``
-        (not always exactly ``t``); the scenario goldens pin those
-        instants.  An arrival that is not in the future is delivered
-        without sleeping.
+        One timeout per delivery instant (:func:`fire_instant`), created
+        only when the previous one has fired, so a running pump holds at
+        most one pending event.  Arrivals sharing an instant are
+        delivered in one go.
         """
 
         def pump():
+            fire_s = sim._now
             for time_s, nbytes, kind in self.arrivals(until_s):
-                now = sim._now
-                if time_s > now:
-                    yield sim.timeout(time_s - now)
+                due_s = fire_instant(fire_s, time_s)
+                if due_s != fire_s:
+                    yield sim.timeout_at(due_s)
+                    fire_s = due_s
                 sink(nbytes, kind)
 
         return sim.process(pump(), name=f"{type(self).__name__}-pump")
+
+    def cursor(
+        self, sim: "Simulator", until_s: float, skip: int = 0
+    ) -> "ArrivalCursor":
+        """The pull-based twin of :meth:`start`, from the current instant."""
+        return ArrivalCursor(sim, self, until_s, skip)
+
+
+class ArrivalCursor:
+    """A source's arrivals as a function of simulated time.
+
+    :meth:`settle` returns the bytes of the arrivals that the pump of
+    :meth:`TrafficSource.start`, started when this cursor was made, would
+    have delivered by the current point of the run, and consumes them.
+    No event is scheduled: a burst-level backlog is read at scheduling
+    rounds, so the pump's one timeout per arrival bought nothing.
+
+    **Ties.**  Arrivals are delivered at :func:`fire_instant` instants
+    ``f``; those with ``f < now`` are due and those with ``f > now`` are
+    not.  For ``f == now`` the pump's delivering event may or may not
+    have been dispatched before the event now running, under the
+    kernel's ``(time, priority, seq)`` order.  The cursor answers from
+    :attr:`Simulator.point <repro.sim.core.Simulator.point>`:
+
+    - *Between dispatches* (after ``run(until)`` returns, before the
+      first dispatch), every event that existed at the kernel's last
+      stop and is due by ``now`` has run.  So ``f == now`` counts,
+      unless the arrival is delivered by the pump's start-up event and
+      the cursor was made after that stop (the point is the very marker
+      it saw when it was made).
+    - *During a dispatch* of an event with priority ``p``, seq ``q``,
+      put on the heap at instant ``b``: the pump's events are
+      ``NORMAL``, so an ``URGENT`` event always runs first and
+      ``f == now`` does not count.  Otherwise the pump's event was
+      created either when the cursor was made (its start-up event,
+      delivering the arrivals with ``f`` equal to the start instant), so
+      it runs first iff ``q`` exceeds the kernel's seq counter at that
+      moment; or during its previous delivery, at the previous delivery
+      instant ``g < f``, so it runs first iff ``b > g``.
+
+    One case is left: an event put on the heap at exactly ``g`` whose
+    delay lands exactly on ``f``.  Which of the two ran first then
+    depends on which event *created* it and where that one stood at
+    ``g``, which no state records.  The cursor does not count such an
+    arrival, as if the event had been created first.
+
+    ``skip`` drops that many arrivals unread: a migrating session
+    resumes on a rebuilt source from the count it had consumed
+    (:attr:`consumed`).
+    """
+
+    __slots__ = (
+        "sim",
+        "consumed",
+        "_next",
+        "_fire_s",
+        "_nbytes",
+        "_previous_s",
+        "_start_s",
+        "_origin",
+        "_mark",
+    )
+
+    def __init__(
+        self,
+        sim: "Simulator",
+        source: TrafficSource,
+        until_s: float,
+        skip: int = 0,
+    ) -> None:
+        if skip < 0:
+            raise ValueError("skip must be >= 0")
+        arrivals = source.arrivals(until_s)
+        if skip:
+            arrivals = islice(arrivals, skip, None)
+        self.sim = sim
+        #: Arrivals consumed so far (settled, or skipped).
+        self.consumed = skip
+        self._next = arrivals.__next__
+        start_s = sim.now
+        self._start_s = start_s
+        self._origin = sim.point
+        self._mark = sim.events_scheduled
+        #: Delivery instant of the group before the pending arrival.
+        self._previous_s = start_s
+        self._fire_s = start_s
+        self._nbytes = 0
+        self._load()
+
+    def _load(self) -> None:
+        """Read the next arrival and place it after the last delivery."""
+        try:
+            time_s, self._nbytes, _kind = self._next()
+        except StopIteration:
+            self._fire_s = float("inf")
+            return
+        last_s = self._fire_s
+        fire_s = fire_instant(last_s, time_s)
+        if fire_s != last_s:
+            self._previous_s = last_s
+        self._fire_s = fire_s
+
+    def _counts_at_now(self) -> bool:
+        """Whether the pending group, due exactly now, was delivered."""
+        point = self.sim.point
+        event = point[3]
+        start_up = self._fire_s == self._start_s
+        if event is None:
+            return not (start_up and point is self._origin)
+        if point[1] != NORMAL:
+            return False
+        if start_up:
+            return point[2] > self._mark
+        return getattr(event, "_born", point[0]) > self._previous_s
+
+    def settle(self) -> int:
+        """Consume and return the bytes due at the current point."""
+        now = self.sim._now
+        total = 0
+        while self._fire_s < now or (
+            self._fire_s == now and self._counts_at_now()
+        ):
+            total += self._nbytes
+            self.consumed += 1
+            self._load()
+        return total
 
 
 class Mp3Stream(TrafficSource):

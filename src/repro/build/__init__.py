@@ -10,7 +10,7 @@ code:
   dataclasses describing a runnable world;
 - :mod:`repro.build.builder` — :class:`WorldBuilder` assembling the full
   simulation (simulator, seeded streams, platform, interfaces, MAC
-  substrate, server or fleet, faults, observability, traffic pumps) from
+  substrate, server or fleet, faults, observability, traffic) from
   a spec, and :class:`World`, the assembled-but-not-yet-run result;
 - :mod:`repro.build.presets` — the registered scenarios expressed as
   spec factories (``hotspot_world`` & friends); every scenario runs as

@@ -4,7 +4,8 @@ One builder replaces the hand-wired assembly that every scenario runner
 used to copy: Simulator + observability attachment, seeded
 :class:`~repro.sim.RandomStreams`, device platform, per-client
 interfaces and contracts, the delivery substrate (Hotspot server, bare
-radios, 802.11 PSM MAC, or a multi-cell fleet), traffic pumps, fault
+radios, 802.11 PSM MAC, or a multi-cell fleet), traffic (a pump for
+packet-level delivery, a session cursor for burst-level delivery), fault
 injector, and the teardown that collects :class:`ClientOutcome`\\ s into
 a :class:`ScenarioResult`.
 
@@ -25,7 +26,7 @@ from __future__ import annotations
 from time import perf_counter
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
-from repro.apps.traffic import build_source
+from repro.apps.traffic import TrafficSource, build_source
 from repro.build.spec import InterfaceSpec, NodeSpec, WorldSpec
 from repro.core.client import HotspotClient
 from repro.core.interfaces import (
@@ -40,7 +41,7 @@ from repro.core.outcome import (
     ScenarioResult,
     make_stream_contract,
 )
-from repro.core.server import HotspotServer
+from repro.core.server import ClientSession, HotspotServer
 from repro.devices import ipaq_3970, wlan_cf_card
 from repro.faults import FaultInjector, FaultPlan
 from repro.metrics.energy import ClientEnergyReport, EnergyBreakdown
@@ -272,15 +273,35 @@ def register_radios(world: World, client: HotspotClient) -> None:
         world.radios[interface.radio.name] = interface.radio
 
 
-def start_traffic(world: World, node: NodeSpec, sink) -> None:
-    """Build the node's source and pump it into ``sink`` until the end."""
-    source = build_source(
+def traffic_source(streams: RandomStreams, node: NodeSpec) -> TrafficSource:
+    """The node's source, on its ``traffic/<name>`` substream."""
+    return build_source(
         node.traffic.kind,
         bitrate_bps=node.traffic.bitrate_bps,
-        rng=world.streams.stream(f"traffic/{node.name}"),
+        rng=streams.stream(f"traffic/{node.name}"),
         options=node.traffic.option_dict,
     )
+
+
+def start_traffic(world: World, node: NodeSpec, sink) -> None:
+    """Pump the node's source into ``sink`` until the end (packet level)."""
+    source = traffic_source(world.streams, node)
     source.start(world.sim, sink, until_s=world.spec.duration_s)
+
+
+def attach_traffic(
+    world: World, node: NodeSpec, session: ClientSession, skip: int = 0
+) -> None:
+    """Feed ``session``'s backlog from the node's source, from now on.
+
+    Burst-level delivery reads the backlog only at scheduling rounds, so
+    the session pulls arrivals through a cursor instead of a pump.  The
+    source gets a fresh ``traffic/<name>`` substream, so a world that
+    rebuilds it for a migrant resuming after ``skip`` arrivals replays
+    exactly the arrivals the client's first world saw.
+    """
+    source = traffic_source(RandomStreams(seed=world.streams.seed), node)
+    session.cursor = source.cursor(world.sim, world.spec.duration_s, skip)
 
 
 def _resolve_fault_plan(world: World) -> Optional[FaultPlan]:
@@ -362,7 +383,7 @@ class _HotspotMode(_DeliveryMode):
         world.fault_plan = _resolve_fault_plan(world)
         for node in spec.clients:
             client = build_managed_client(world, node)
-            world.server.register(client)
+            session = world.server.register(client)
             world.clients.append(client)
             register_radios(world, client)
             if node.prefetch_s > 0:
@@ -372,7 +393,7 @@ class _HotspotMode(_DeliveryMode):
                     node.name,
                     int(node.prefetch_s * node.contract_rate_bps / 8.0),
                 )
-            start_traffic(world, node, world.server.sink_for(node.name))
+            attach_traffic(world, node, session)
 
     def start(self, world: World) -> None:
         world.server.start()
@@ -753,7 +774,7 @@ class _FleetMode(_DeliveryMode):
                     node.name,
                     int(node.prefetch_s * node.contract_rate_bps / 8.0),
                 )
-            start_traffic(world, node, world.fleet.sink_for(node.name))
+            attach_traffic(world, node, world.fleet.session_of(node.name))
 
     def _roaming_quality(self, world: World, mobility) -> QualityResolver:
         """Quality signals that follow the client's *current* cell.

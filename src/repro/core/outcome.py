@@ -28,6 +28,12 @@ MP3_DECODE_BUSY_FRACTION = 0.15
 #: byte-identical.
 VOLATILE_TIMING_FIELDS = ("wall_time_s", "events_per_second")
 
+#: Record fields that are deterministic for a seed but count the
+#: kernel's work, not the modelled behaviour: an optimisation may move
+#: them while every behaviour field stays byte-identical.  The scenario
+#: goldens keep them in a separate ``cost`` section.
+COST_FIELDS = ("sim_events",)
+
 
 @dataclass
 class ClientOutcome:

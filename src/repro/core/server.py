@@ -30,6 +30,7 @@ from repro.core.client import HotspotClient
 from repro.core.scheduling import BurstRequest, BurstScheduler, make_scheduler
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.apps.traffic import ArrivalCursor
     from repro.sim.core import Simulator
 
 
@@ -109,10 +110,18 @@ class InterfaceSelectionPolicy:
 
 @dataclass
 class ClientSession:
-    """Server-side state for one registered client."""
+    """Server-side state for one registered client.
+
+    The proxy backlog is a function of time: with a ``cursor``
+    (:class:`~repro.apps.traffic.ArrivalCursor`) attached, every read or
+    write of :attr:`backlog_bytes` first settles the stream arrivals due
+    by now, so the backlog accrues with no event per arrival and keeps
+    accruing while no server holds the session (mid-handoff, churned
+    away).  Without a cursor the backlog moves only by :meth:`ingest
+    <HotspotServer.ingest>` and burst delivery.
+    """
 
     client: HotspotClient
-    backlog_bytes: int = 0
     interface: Optional[str] = None
     switchovers: int = 0
     bursts_served: int = 0
@@ -122,6 +131,24 @@ class ClientSession:
     #: Bursts that delivered nothing because the interface was dead.
     bursts_failed: int = 0
     interface_log: List[tuple[float, str]] = field(default_factory=list)
+    #: The client's stream, pulled when the backlog is read.
+    cursor: Optional["ArrivalCursor"] = None
+    _backlog: int = 0
+
+    @property
+    def backlog_bytes(self) -> int:
+        """Proxy bytes queued for the client, settled to now."""
+        cursor = self.cursor
+        if cursor is not None:
+            self._backlog += cursor.settle()
+        return self._backlog
+
+    @backlog_bytes.setter
+    def backlog_bytes(self, nbytes: int) -> None:
+        cursor = self.cursor
+        if cursor is not None:
+            cursor.settle()
+        self._backlog = nbytes
 
 
 class HotspotServer:
@@ -283,7 +310,11 @@ class HotspotServer:
     # -- traffic ingress -----------------------------------------------------------
 
     def ingest(self, client_name: str, nbytes: int, kind: str = "data") -> None:
-        """Data for ``client_name`` arrived at the server (proxy input)."""
+        """Data for ``client_name`` arrived at the server (proxy input).
+
+        Stream traffic reaches the backlog through the session's cursor;
+        this is for bytes pushed from outside it (a prefetch, a test).
+        """
         if nbytes <= 0:
             raise ValueError("ingest size must be positive")
         session = self.sessions.get(client_name)
@@ -291,21 +322,14 @@ class HotspotServer:
             raise KeyError(f"unknown client {client_name!r}")
         session.backlog_bytes += nbytes
 
-    def sink_for(self, client_name: str):
-        """A TrafficSource-compatible sink bound to one client."""
-
-        def sink(nbytes: int, kind: str) -> None:
-            self.ingest(client_name, nbytes, kind)
-
-        return sink
-
     # -- churn -----------------------------------------------------------------
 
     def pause_client(self, client_name: str) -> None:
         """The client left mid-stream: stop scheduling it, pause playback.
 
-        Its proxy backlog keeps accruing (the stream source does not
-        know), bounded by the client buffer clamp at serve time.
+        Its proxy backlog keeps accruing, because the session's cursor
+        settles the stream's arrivals whether or not the client is
+        scheduled; the client buffer clamp bounds it at serve time.
         """
         session = self.sessions.get(client_name)
         if session is None:
@@ -405,12 +429,13 @@ class HotspotServer:
                 committed[session.interface] = (
                     committed.get(session.interface, 0.0) + rate
                 )
-            if session.backlog_bytes <= 0:
+            backlog = session.backlog_bytes
+            if backlog <= 0:
                 continue
             space = client.buffer_space_bytes()
             if space <= 0:
                 continue
-            burst = min(session.backlog_bytes, space)
+            burst = min(backlog, space)
             # Urgency horizon covers the scheduling quantum plus the time
             # the burst itself will take (wake + transfer), so a client is
             # requested early enough to be served before it underruns.

@@ -11,10 +11,11 @@ single cell never needed:
   site name, so steering is deterministic).  When the best-covering cell
   is at its utilisation cap the client lands on the next one — overflow
   between cells instead of refusal.
-- **ingest routing** — stream traffic addresses a *client*, not a cell.
-  The coordinator keeps each client's :class:`~repro.core.server.
+- **one session per client** — stream traffic addresses a *client*, not
+  a cell.  The coordinator keeps each client's :class:`~repro.core.server.
   ClientSession` object (shared with whichever server currently holds
-  it), so proxy bytes keep accruing even in the window mid-handoff when
+  it); its backlog is settled from the stream's cursor whenever it is
+  read, so proxy bytes keep accruing even in the window mid-handoff when
   the session is attached to no server at all.
 - **fleet-wide accounting** — per-cell load/bursts/bytes summaries and
   periodic per-cell utilisation gauges on the ``net`` trace layer.
@@ -22,7 +23,6 @@ single cell never needed:
 
 from __future__ import annotations
 
-import functools
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.interfaces import (
@@ -276,7 +276,7 @@ class FleetCoordinator:
     # -- traffic ingress -------------------------------------------------------
 
     def ingest(self, client_name: str, nbytes: int, kind: str = "data") -> None:
-        """Proxy bytes for ``client_name`` arrived at the fleet.
+        """Proxy bytes for ``client_name`` arrived at the fleet (prefetch).
 
         Routed straight to the client's session object, which the
         serving cell shares — correct even in the handoff window when
@@ -288,14 +288,6 @@ class FleetCoordinator:
         if session is None:
             raise KeyError(f"unknown client {client_name!r}")
         session.backlog_bytes += nbytes
-
-    def sink_for(self, client_name: str):
-        """A TrafficSource-compatible sink bound to one client.
-
-        A ``partial`` rather than a closure, so each delivered arrival
-        costs one Python frame (:meth:`ingest`'s) instead of two.
-        """
-        return functools.partial(self.ingest, client_name)
 
     # -- lifecycle -------------------------------------------------------------
 

@@ -5,9 +5,11 @@ the client *exactly* where the origin world froze it: playout-buffer
 state, per-radio energy totals, delivery counters, and the full
 :class:`~repro.core.server.ClientSession` bookkeeping (backlog included —
 the session backlog is the paper's proxy buffer, and it must survive the
-move byte-for-byte).  Snapshots are plain JSON-able dicts so the same
-payload crosses a :mod:`multiprocessing` pipe or stays in-process
-untouched.
+move byte-for-byte).  The backlog is settled at the barrier, and
+``arrivals_consumed`` records how far the session's stream cursor had
+read, so the owning world resumes the stream exactly there.  Snapshots
+are plain JSON-able dicts so the same payload crosses a
+:mod:`multiprocessing` pipe or stays in-process untouched.
 
 Radios are *not* serialised as state machines.  The origin only migrates
 a fully quiescent client (every radio asleep, no burst in flight), so
@@ -33,6 +35,7 @@ def snapshot_client(
     client: "HotspotClient", session: ClientSession, time_s: float
 ) -> Dict[str, object]:
     """Freeze a quiescent client + session into a JSON-able payload."""
+    backlog = session.backlog_bytes  # settles the cursor first
     return {
         "playout": client.playout.snapshot_state(time_s),
         "energy_j": {
@@ -42,8 +45,9 @@ def snapshot_client(
         "bursts_received": client.bursts_received,
         "bytes_received": client.bytes_received,
         "burst_log": [list(entry) for entry in client.burst_log],
+        "arrivals_consumed": session.cursor.consumed,
         "session": {
-            "backlog_bytes": session.backlog_bytes,
+            "backlog_bytes": backlog,
             "interface": session.interface,
             "switchovers": session.switchovers,
             "bursts_served": session.bursts_served,
@@ -83,11 +87,14 @@ def restore_client_state(
 def restore_session(
     client: "HotspotClient", snapshot: Dict[str, object]
 ) -> ClientSession:
-    """Rebuild the travelled session object around the restored client."""
+    """Rebuild the travelled session object around the restored client.
+
+    The session comes back without a cursor; the caller attaches one
+    that resumes after ``snapshot["arrivals_consumed"]`` arrivals.
+    """
     payload = snapshot["session"]
     session = ClientSession(
         client=client,
-        backlog_bytes=payload["backlog_bytes"],
         interface=payload["interface"],
         switchovers=payload["switchovers"],
         bursts_served=payload["bursts_served"],
@@ -98,4 +105,5 @@ def restore_session(
     session.interface_log = [
         tuple(entry) for entry in payload["interface_log"]
     ]
+    session.backlog_bytes = payload["backlog_bytes"]
     return session

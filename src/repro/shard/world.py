@@ -11,33 +11,32 @@ cross-shard departure — the local handoff path never runs — which makes
 the world count, and therefore the merged result, independent of how
 worlds are dealt across processes.
 
-The delicate part is traffic during migration.  A client's source pump
-lives in its *home* world for the whole run (stopping and replaying a
-half-consumed arrival generator deterministically would be fragile), so:
+Traffic needs no special care during migration, because a session's
+backlog is a function of time (:class:`~repro.apps.traffic.
+ArrivalCursor`), not a stream of pushed bytes:
 
-- while the client is away, the home world's sink is *guarded*: bytes
-  are counted in a ``missed`` accumulator instead of being ingested into
-  a session that left;
-- the world the client lands in starts its own pump from the barrier
-  time, skipping arrivals the client already received elsewhere (the
-  substream is identical, so the skipped prefix is exactly what the
-  previous worlds pumped);
-- a *declined* migration bounces: the origin restores its stashed live
-  objects, folds the missed bytes into the backlog (nobody delivered
-  them), and backs the client off before it retries the full cell.
+- a departing client's snapshot carries its backlog settled at the
+  barrier and the count of stream arrivals its cursor has consumed;
+- the world the client lands in rebuilds the source from the identical
+  ``traffic/<name>`` substream, skips exactly that many arrivals, and
+  resumes from the barrier, as a pump started there would;
+- a *declined* migration bounces: the origin re-adopts its stashed
+  session, whose cursor catches up on the arrivals of the away window
+  at its next read, and backs the client off before it retries the full
+  cell.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Tuple
 
 from repro.build.builder import (
+    attach_traffic,
     build_managed_client,
     fleet_floor_plan,
     register_radios,
 )
 from repro.build.spec import InterfaceSpec, NodeSpec, WorldSpec
-from repro.apps.traffic import TrafficSource, build_source
 from repro.core.outcome import MP3_DECODE_BUSY_FRACTION
 from repro.net.association import AssociationManager
 from repro.net.fleet import FleetCoordinator
@@ -53,26 +52,6 @@ from repro.sim.core import Simulator
 from repro.sim.streams import RandomStreams
 
 __all__ = ["CellWorld"]
-
-
-class _ResumedSource(TrafficSource):
-    """Skips the arrival prefix a migrating client already received.
-
-    The underlying source is rebuilt from the same seeded substream the
-    previous worlds used, so arrivals at or before the resume point are
-    exactly the bytes already pumped elsewhere.  They must be filtered
-    *before* :meth:`TrafficSource.start` sees them — the pump sinks
-    past-due arrivals immediately, which would double-deliver them.
-    """
-
-    def __init__(self, inner: TrafficSource, resume_after_s: float) -> None:
-        self.inner = inner
-        self.resume_after_s = resume_after_s
-
-    def arrivals(self, until_s: float):
-        for arrival in self.inner.arrivals(until_s):
-            if arrival[0] > self.resume_after_s:
-                yield arrival
 
 
 class CellWorld:
@@ -154,12 +133,6 @@ class CellWorld:
         #: and strictly in order, so a second model on the same substream
         #: would walk a different path.
         self._mobility: Dict[str, RandomWaypoint] = {}
-        #: Former residents whose pump still runs here (guarded sinks).
-        self._away: Set[str] = set()
-        #: Bytes the guarded sink swallowed per away client.
-        self._missed: Dict[str, int] = {}
-        #: Clients whose traffic pump lives in this world.
-        self._pumping: Set[str] = set()
         #: Departed (client, session, departure-record) awaiting a reply.
         self._stash: Dict[str, Tuple[object, object, dict]] = {}
         #: Grant/decline messages produced by ingress, drained next.
@@ -217,36 +190,7 @@ class CellWorld:
                 node.name,
                 int(node.prefetch_s * node.contract_rate_bps / 8.0),
             )
-        self._start_pump(node)
-
-    def _start_pump(
-        self, node: NodeSpec, resume_after_s: Optional[float] = None
-    ) -> None:
-        source = build_source(
-            node.traffic.kind,
-            bitrate_bps=node.traffic.bitrate_bps,
-            rng=self.streams.stream(f"traffic/{node.name}"),
-            options=node.traffic.option_dict,
-        )
-        if resume_after_s is not None:
-            source = _ResumedSource(source, resume_after_s)
-        source.start(
-            self.sim,
-            self._guarded_sink(node.name),
-            until_s=self.spec.duration_s,
-        )
-        self._pumping.add(node.name)
-
-    def _guarded_sink(self, name: str):
-        """The fleet sink, with a bypass while the client is away."""
-
-        def sink(nbytes: int, kind: str) -> None:
-            if name in self._away:
-                self._missed[name] = self._missed.get(name, 0) + nbytes
-            else:
-                self.fleet.ingest(name, nbytes, kind)
-
-        return sink
+        attach_traffic(self, node, self.fleet.session_of(node.name))
 
     # -- barrier protocol ------------------------------------------------------
 
@@ -294,8 +238,6 @@ class CellWorld:
             snapshot = snapshot_client(client, session, now)
             self.fleet.release(name)
             self.handoff.untrack(name)
-            self._away.add(name)
-            self._missed[name] = 0
             self._stash[name] = (client, session, record)
             out.append(
                 self._message(
@@ -337,20 +279,13 @@ class CellWorld:
         client = build_managed_client(
             self, node, quality_for=self._roaming_quality(mobility)
         )
-        restore_client_state(client, message["snapshot"])
-        session = restore_session(client, message["snapshot"])
+        snapshot = message["snapshot"]
+        restore_client_state(client, snapshot)
+        session = restore_session(client, snapshot)
         self.fleet.adopt_migrant(client, session, cell.name)
         self.handoff.arrive(name, mobility, now)
         register_radios(self, client)
-        if name in self._pumping:
-            # Coming home: the resident pump never stopped.  Unguard it
-            # and drop the missed count — those bytes were delivered by
-            # the worlds the client visited (they are in the travelled
-            # session already).
-            self._away.discard(name)
-            self._missed.pop(name, None)
-        else:
-            self._start_pump(node, resume_after_s=now)
+        attach_traffic(self, node, session, skip=snapshot["arrivals_consumed"])
         delay = max(message["t_detach"] + message["latency_s"], now) - now
         self.sim.process(
             self._adoption(cell, session, message, delay),
@@ -392,11 +327,8 @@ class CellWorld:
         name = message["client"]
         client, session, record = self._stash.pop(name)
         now = self.sim.now
-        # Bytes that arrived while the move was in flight were swallowed
-        # by the guarded sink; nobody delivered them, so they are still
-        # owed to the client.
-        session.backlog_bytes += self._missed.pop(name, 0)
-        self._away.discard(name)
+        # The stashed session's cursor never stopped: its next read
+        # settles the arrivals of the away window into the backlog.
         cell = self.fleet.adopt_migrant(client, session, record["origin"])
         cell.server.adopt_session(session)
         if session.paused and record["protected"]:

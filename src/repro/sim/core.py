@@ -7,6 +7,11 @@ instant fire in the order they were scheduled (kernel-internal wakeups,
 ``URGENT``, first).  ``Timeout.__init__``, ``Event.succeed`` and the
 ``Condition`` fire path in ``events.py`` push onto the same heap
 directly instead of calling :meth:`Simulator._schedule`.
+
+The kernel also keeps its *dispatch point*: the heap entry being
+dispatched, or a marker between dispatches (see :attr:`Simulator.point`).
+Pull-based state such as :class:`repro.apps.traffic.ArrivalCursor`
+reads it to decide where in an instant's order a read falls.
 """
 
 from __future__ import annotations
@@ -60,6 +65,8 @@ class Simulator:
         self._heap: List[tuple] = []
         self._seq = 0
         self._active_process: Optional[Process] = None
+        #: The dispatch point (see :attr:`point`).
+        self._point: tuple = (self._now, NORMAL, 0, None)
         self.trace: Any = _NULL_TRACE
         if trace is not None:
             self.attach_trace(trace)
@@ -101,6 +108,21 @@ class Simulator:
         return self._seq
 
     @property
+    def point(self) -> tuple:
+        """Where the kernel is in the ``(time, priority, seq)`` order.
+
+        While an event is dispatched this is its heap entry
+        ``(time, priority, seq, event)``; after :meth:`step` returns it
+        stays the entry just dispatched.  When :meth:`run` returns, and
+        before the first dispatch, it is a marker ``(now, NORMAL, seq,
+        None)`` made fresh by every stop: every event that existed at
+        the stop and is due by ``now`` has been dispatched, and none
+        created after it has.  Identity tells two stops at one instant
+        apart.
+        """
+        return self._point
+
+    @property
     def queue_depth(self) -> int:
         """Events currently pending in the queue (instantaneous backlog)."""
         return len(self._heap)
@@ -129,6 +151,7 @@ class Simulator:
         event.sim = self
         event.callbacks = []
         event.delay = when - now
+        event._born = now
         event._state = 1  # _TRIGGERED: fire time fixed at creation
         event._ok = True
         event._value = None
@@ -156,6 +179,7 @@ class Simulator:
             raise SimulationError(f"cannot schedule into the past (delay={delay!r})")
         seq = self._seq + 1
         self._seq = seq
+        event._born = self._now
         heappush(self._heap, (self._now + delay, priority, seq, event))
 
     # -- run loop ----------------------------------------------------------------
@@ -180,8 +204,10 @@ class Simulator:
         """
         if not self._heap:
             raise SimulationError("step() on an empty event queue")
-        when, _priority, _seq, event = heappop(self._heap)
+        entry = heappop(self._heap)
+        when, _priority, _seq, event = entry
         self._now = when
+        self._point = entry
         callbacks = event.callbacks
         event.callbacks = []  # further appends would never run
         event._state = 2  # _PROCESSED
@@ -202,8 +228,10 @@ class Simulator:
         """
         if not self._heap:
             raise SimulationError("step() on an empty event queue")
-        when, _priority, _seq, event = heappop(self._heap)
+        entry = heappop(self._heap)
+        when, _priority, _seq, event = entry
         self._now = when
+        self._point = entry
         trace = self.trace
         if trace.enabled:
             trace.emit(
@@ -244,6 +272,7 @@ class Simulator:
             else:
                 while heap:
                     step()
+            self._point = (self._now, NORMAL, self._seq, None)
             return
         # Fast path: the step body is inlined so the per-event cost is
         # one heappop plus the callback fan-out — no method dispatch,
@@ -260,6 +289,7 @@ class Simulator:
                 break
             event = entry[3]
             self._now = when
+            self._point = entry
             callbacks = event.callbacks
             event.callbacks = []
             event._state = 2  # _PROCESSED
@@ -272,6 +302,7 @@ class Simulator:
                     raise event._value
         if until is not None:
             self._now = float(until)
+        self._point = (self._now, NORMAL, self._seq, None)
 
     def __repr__(self) -> str:
         return f"<Simulator t={self._now:.6f} queued={self.queue_depth}>"

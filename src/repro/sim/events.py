@@ -46,7 +46,10 @@ class Event:
         The owning :class:`~repro.sim.core.Simulator`.
     """
 
-    __slots__ = ("sim", "callbacks", "_value", "_ok", "_state")
+    #: ``_born`` is the instant the event was put on the heap, set only
+    #: where that precedes the instant it fires (timeouts, delayed
+    #: ``succeed``/``fail``); every other event is born when it fires.
+    __slots__ = ("sim", "callbacks", "_value", "_ok", "_state", "_born")
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
@@ -132,9 +135,11 @@ class Timeout(Event):
         self._state = _TRIGGERED  # the firing time is fixed at creation
         self._ok = True
         self._value = value
+        now = sim._now
+        self._born = now
         seq = sim._seq + 1
         sim._seq = seq
-        heappush(sim._heap, (sim._now + delay, NORMAL, seq, self))
+        heappush(sim._heap, (now + delay, NORMAL, seq, self))
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay!r}>"

@@ -2,14 +2,17 @@
 
 The files under ``tests/build/golden/`` hold ``dumps_strict``-serialised
 ``summary_record()`` strings captured from the pre-``repro.build``
-scenario runners at pinned parameters and seeds.  These tests re-run
-every registered scenario through its one code path (the registry's
-preset runnable → ``WorldBuilder``) and require the output to match
-**byte for byte** — any drift means world assembly changed behaviour,
-not just shape.
+scenario runners at pinned parameters and seeds, split into a behaviour
+section (``records``) and a ``cost`` section (``sim_events``).  These
+tests re-run every registered scenario through its one code path (the
+registry's preset runnable → ``WorldBuilder``) and require both sections
+to match **byte for byte** — any drift means world assembly changed
+behaviour, or the kernel's workload, not just shape.
 
-Regenerate intentionally with ``python scripts/make_goldens.py`` only
-when a scenario's behaviour is *meant* to change.
+Regenerate intentionally: ``python scripts/make_goldens.py --cost-only``
+when a change is meant to cut events only (it refuses to write if any
+behaviour record differs), the full ``make_goldens.py`` only when a
+scenario's behaviour is *meant* to change.
 """
 
 import json
@@ -17,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.outcome import VOLATILE_TIMING_FIELDS
+from repro.core.outcome import COST_FIELDS, VOLATILE_TIMING_FIELDS
 from repro.exp import dumps_strict, get_scenario, scenario_names
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -40,6 +43,7 @@ def test_every_registered_scenario_has_a_golden():
 def test_goldens_pin_two_seeds_each():
     for payload in GOLDENS:
         assert sorted(payload["records"]) == ["0", "1"], payload["scenario"]
+        assert sorted(payload["cost"]) == ["0", "1"], payload["scenario"]
 
 
 @pytest.mark.parametrize(
@@ -49,13 +53,18 @@ def test_summary_record_byte_identical_to_golden(payload):
     fn = get_scenario(payload["scenario"])
     for seed_str, expected in payload["records"].items():
         result = fn(**payload["params"], seed=int(seed_str))
-        record = {
+        record = result.summary_record()
+        behaviour = {
             k: v
-            for k, v in result.summary_record().items()
-            if k not in VOLATILE_TIMING_FIELDS
+            for k, v in record.items()
+            if k not in VOLATILE_TIMING_FIELDS and k not in COST_FIELDS
         }
-        actual = dumps_strict(record)
-        assert actual == expected, (
-            f"{payload['scenario']} seed {seed_str}: summary_record drifted "
+        assert dumps_strict(behaviour) == expected, (
+            f"{payload['scenario']} seed {seed_str}: behaviour drifted "
+            "from the golden capture"
+        )
+        cost = {k: record[k] for k in COST_FIELDS}
+        assert dumps_strict(cost) == payload["cost"][seed_str], (
+            f"{payload['scenario']} seed {seed_str}: kernel cost drifted "
             "from the golden capture"
         )

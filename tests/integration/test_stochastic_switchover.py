@@ -42,9 +42,9 @@ def run_stochastic(seed=0):
                            client_buffer_bytes=96_000)
     client = HotspotClient(sim, "c0", contract, interfaces)
     server = HotspotServer(sim, min_burst_bytes=40_000)
-    server.register(client)
+    session = server.register(client)
     server.ingest("c0", 480_000)  # 30 s proxy prefetch
-    Mp3Stream().start(sim, server.sink_for("c0"), until_s=DURATION_S)
+    session.cursor = Mp3Stream().cursor(sim, until_s=DURATION_S)
     server.start()
     sim.run(until=DURATION_S)
     return server.sessions["c0"], client

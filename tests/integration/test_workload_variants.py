@@ -32,8 +32,7 @@ class TestWebWorkload:
         interface = bluetooth_interface(sim)
         client = HotspotClient(sim, "web", contract, {"bluetooth": interface})
         server = HotspotServer(sim, min_burst_bytes=20_000, epoch_s=0.25)
-        server.register(client)
-        source.start(sim, server.sink_for("web"), until_s=60.0)
+        server.register(client).cursor = source.cursor(sim, until_s=60.0)
         server.start()
         sim.run(until=65.0)
         assert client.bytes_received > 0

@@ -191,9 +191,9 @@ class TestMobilityDrivenSwitchover:
                                client_buffer_bytes=96_000)
         client = HotspotClient(sim, "c0", contract, interfaces)
         server = HotspotServer(sim, min_burst_bytes=40_000)
-        server.register(client)
+        session = server.register(client)
         server.ingest("c0", 480_000)
-        Mp3Stream().start(sim, server.sink_for("c0"), until_s=90.0)
+        session.cursor = Mp3Stream().cursor(sim, until_s=90.0)
         server.start()
         sim.run(until=90.0)
         session = server.sessions["c0"]

@@ -171,3 +171,36 @@ def test_process_yielding_non_event_fails():
     sim.process(bad(sim))
     with pytest.raises(TypeError, match="yield Event"):
         sim.run()
+
+
+def test_point_is_the_entry_being_dispatched():
+    sim = Simulator()
+    seen = []
+    sim.timeout(1.0).callbacks.append(lambda event: seen.append(sim.point))
+    timeout = sim.timeout(2.0)
+    timeout.callbacks.append(lambda event: seen.append(sim.point))
+    sim.run(until=5.0)
+    assert [point[0] for point in seen] == [1.0, 2.0]
+    assert seen[1][2] == 2 and seen[1][3] is timeout
+
+
+def test_point_between_dispatches_is_a_fresh_marker_per_stop():
+    sim = Simulator()
+    initial = sim.point
+    assert initial[3] is None and initial[0] == 0.0
+    sim.timeout(1.0)
+    sim.run(until=1.0)
+    first = sim.point
+    assert first[3] is None and first[:3] == (1.0, 1, 1)
+    sim.run(until=1.0)
+    assert sim.point is not first and sim.point == first
+    sim.timeout(0.5)
+    sim.step()
+    assert sim.point[0] == 1.5 and sim.point[3] is not None
+
+
+def test_timeouts_record_the_instant_they_were_scheduled():
+    sim = Simulator()
+    sim.run(until=2.0)
+    assert sim.timeout(1.0)._born == 2.0
+    assert sim.timeout_at(4.0)._born == 2.0
