@@ -9,7 +9,7 @@ cheap control frames.
 
 from conftest import run_once
 
-from repro.mac import DcfConfig, DcfStation, SpatialMedium, audibility_from_groups
+from repro.mac import DcfConfig, DcfStation, Medium, audibility_from_groups
 from repro.metrics import format_table
 from repro.sim import RandomStreams, Simulator
 
@@ -19,7 +19,7 @@ FRAME_BYTES = 1400
 
 def run_configuration(rts_threshold, seed=5):
     sim = Simulator()
-    medium = SpatialMedium(
+    medium = Medium(
         sim, audibility=audibility_from_groups({"a", "b"}, {"b", "c"})
     )
     streams = RandomStreams(seed=seed)

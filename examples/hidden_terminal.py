@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Hidden terminals and the RTS/CTS + NAV rescue, on the spatial medium.
+"""Hidden terminals and the RTS/CTS + NAV rescue, on a medium with geometry.
 
 Stations A and C both talk to access point B but cannot hear each other:
 their carrier sense never defers to one another, so their data frames
@@ -14,7 +14,7 @@ Run:  python examples/hidden_terminal.py
 from repro.mac import (
     DcfConfig,
     DcfStation,
-    SpatialMedium,
+    Medium,
     audibility_from_groups,
 )
 from repro.metrics import format_table
@@ -26,7 +26,7 @@ N_FRAMES = 40
 def run(rts_threshold, label):
     sim = Simulator()
     # A hears B; C hears B; A and C are mutually hidden.
-    medium = SpatialMedium(
+    medium = Medium(
         sim, audibility=audibility_from_groups({"A", "B"}, {"B", "C"})
     )
     streams = RandomStreams(seed=7)

@@ -504,31 +504,40 @@ class _UnscheduledMode(_DeliveryMode):
 class _PsmMode(_DeliveryMode):
     """Standard 802.11 power-save mode on the full packet-level MAC:
     every frame flows through the AP, dozing stations fetch buffered
-    frames with the beacon/TIM/PS-Poll machinery."""
+    frames with the beacon/TIM/PS-Poll machinery.  The uplink direction
+    (DCF senders to the AP) also assembles the μNap world."""
 
     def assemble(self, world: World) -> None:
-        from repro.mac import AccessPoint, DcfStation, Medium, PsmConfig, PsmStation
+        from repro.devices.profiles import unap_wlan_card
+        from repro.mac import (
+            AccessPoint,
+            DcfConfig,
+            DcfStation,
+            Medium,
+            PsmConfig,
+            PsmStation,
+            all_hear,
+            make_power_policy,
+        )
 
-        if world.spec.power_policy in ("unap", "cam"):
-            # The μNap world (and its fair always-awake baseline) shares
-            # the PSM mode's uplink plumbing but swaps the medium, the
-            # radio model and the power policy; a separate assembly path
-            # keeps the historical PSM event sequence byte-identical.
-            self._assemble_unap(world)
-            return
         sim = world.sim
-        extras = world.spec.extras
+        spec = world.spec
+        extras = spec.extras
+        # μNap (and its always-awake baseline "cam") is this mode's
+        # uplink: policy-driven senders with the fast-doze radio, on a
+        # medium where overheard reservations become nap opportunities.
+        napping = spec.power_policy in ("unap", "cam")
         # The psm-crossval preset parameterises the PSM stack through
         # spec extras; their absence keeps the historical assembly (and
         # its byte-identical goldens) untouched.
         listen_interval = int(extras.get("psm_listen_interval") or 0)
-        uplink = extras.get("psm_direction") == "uplink"
+        uplink = napping or extras.get("psm_direction") == "uplink"
         psm = PsmConfig(listen_interval=listen_interval) if listen_interval else None
-        world.medium = Medium(sim)
-        world.byte_counts = [0] * len(world.spec.clients)
+        world.medium = Medium(sim, audibility=all_hear if napping else None)
+        world.byte_counts = [0] * len(spec.clients)
         ap_receive = None
         if uplink:
-            index_of = {n.name: i for i, n in enumerate(world.spec.clients)}
+            index_of = {n.name: i for i, n in enumerate(spec.clients)}
 
             def ap_receive(frame):
                 i = index_of.get(frame.source)
@@ -543,8 +552,9 @@ class _PsmMode(_DeliveryMode):
             rng=world.streams.stream("ap"),
             on_receive=ap_receive,
         )
-        for index, node in enumerate(world.spec.clients):
-            radio = Radio(sim, wlan_cf_card(), name=f"{node.name}/wlan")
+        card = unap_wlan_card if napping else wlan_cf_card
+        for index, node in enumerate(spec.clients):
+            radio = Radio(sim, card(), name=f"{node.name}/wlan")
             playout = PlayoutBuffer(
                 drain_rate_bps=node.contract_rate_bps,
                 prebuffer_s=node.prebuffer_s,
@@ -553,14 +563,21 @@ class _PsmMode(_DeliveryMode):
             world.radios[radio.name] = radio
 
             if uplink:
-                # CAM sender: a plain DCF station pushing to the AP,
-                # radio pinned awake (idle/tx) for the whole run.
+                # A plain DCF station pushing to the AP.  Without a power
+                # policy (PSM uplink) its radio stays awake (idle/tx) for
+                # the whole run.
                 station = DcfStation(
                     sim,
                     world.medium,
                     node.name,
                     rng=world.streams.stream(node.name),
+                    config=DcfConfig(
+                        rts_threshold_bytes=extras.get("rts_threshold_bytes")
+                    ),
                     radio=radio,
+                    power_policy=(
+                        make_power_policy(spec.power_policy) if napping else None
+                    ),
                 )
                 world.stations.append(station)
 
@@ -590,74 +607,6 @@ class _PsmMode(_DeliveryMode):
                 world.access_point.send_data(n, nbytes)
 
             start_traffic(world, node, to_ap)
-
-    def _assemble_unap(self, world: World) -> None:
-        """Uplink senders on a broadcast-overheard medium, policy-driven.
-
-        Every station is a plain CAM :class:`DcfStation` carrying the
-        μNap fast-doze radio; the spec's ``power_policy`` decides whether
-        it actually naps (``"unap"``) or stays awake (``"cam"``, the
-        fair baseline — identical assembly, never sleeps).  The
-        :class:`SpatialMedium` delivers every frame to every station, so
-        overheard RTS/CTS reservations and foreign data tails become nap
-        opportunities exactly as in the μNap paper.
-        """
-        from repro.devices.profiles import unap_wlan_card
-        from repro.mac import (
-            AccessPoint,
-            CamPolicy,
-            DcfConfig,
-            DcfStation,
-            MicroNapPolicy,
-            SpatialMedium,
-        )
-
-        sim = world.sim
-        spec = world.spec
-        rts_threshold = spec.extras.get("rts_threshold_bytes")
-        world.medium = SpatialMedium(sim)
-        world.byte_counts = [0] * len(spec.clients)
-        index_of = {n.name: i for i, n in enumerate(spec.clients)}
-
-        def ap_receive(frame):
-            i = index_of.get(frame.source)
-            if i is not None:
-                world.byte_counts[i] += frame.payload_bytes
-                world.playouts[i].deliver(sim.now, frame.payload_bytes)
-
-        world.access_point = AccessPoint(
-            sim,
-            world.medium,
-            "ap",
-            rng=world.streams.stream("ap"),
-            on_receive=ap_receive,
-        )
-        for node in spec.clients:
-            radio = Radio(sim, unap_wlan_card(), name=f"{node.name}/wlan")
-            playout = PlayoutBuffer(
-                drain_rate_bps=node.contract_rate_bps,
-                prebuffer_s=node.prebuffer_s,
-            )
-            world.playouts.append(playout)
-            world.radios[radio.name] = radio
-            policy = (
-                MicroNapPolicy() if spec.power_policy == "unap" else CamPolicy()
-            )
-            station = DcfStation(
-                sim,
-                world.medium,
-                node.name,
-                rng=world.streams.stream(node.name),
-                config=DcfConfig(rts_threshold_bytes=rts_threshold),
-                radio=radio,
-                power_policy=policy,
-            )
-            world.stations.append(station)
-
-            def to_station(nbytes: int, kind: str, st=station):
-                st.send("ap", nbytes)
-
-            start_traffic(world, node, to_station)
 
     def collect(self, world: World) -> ScenarioResult:
         duration = world.spec.duration_s

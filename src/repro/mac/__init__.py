@@ -21,7 +21,7 @@ Implements every MAC-level technique the paper's survey names:
 """
 
 from repro.mac.frames import Dot11Timing, Frame, FrameKind
-from repro.mac.medium import Medium
+from repro.mac.medium import Medium, all_hear, audibility_from_groups
 from repro.mac.dcf import DcfConfig, DcfStation
 from repro.mac.powersave import (
     CamPolicy,
@@ -44,7 +44,6 @@ from repro.mac.pamas import (
 )
 from repro.mac.bluetooth import BluetoothLink
 from repro.mac.rate_adaptation import AarfRateController, ArfRateController
-from repro.mac.spatial import SpatialMedium, audibility_from_groups
 
 __all__ = [
     "AarfRateController",
@@ -70,9 +69,9 @@ __all__ = [
     "PsmConfig",
     "PsmStation",
     "ScheduleEntry",
-    "SpatialMedium",
     "StaticPsmPolicy",
     "aggressive_sleep_policy",
+    "all_hear",
     "audibility_from_groups",
     "linear_sleep_policy",
     "make_power_policy",

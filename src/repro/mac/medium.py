@@ -1,22 +1,30 @@
 """The shared wireless medium.
 
-A single-channel broadcast medium with carrier sensing and collisions:
+One 802.11 channel with carrier sensing and collisions.  An optional
+relation ``audibility(source, listener) -> bool`` gives it geometry:
 
-- every registered station hears every transmission (no hidden terminals —
-  the paper's infrastructure scenario has all clients in range of the AP);
-- two transmissions overlapping in time collide and corrupt each other;
-- an optional error model can additionally corrupt collision-free frames
-  (plugging in :class:`repro.phy.channel.GilbertElliottChannel` or a
-  BER-based model).
+- ``audibility=None``: the paper's single cell.  Every station senses
+  every transmission, only the addressee (everyone, for broadcast)
+  receives a frame, and any overlap corrupts it.
+- With a relation, each station senses and *overhears* only audible
+  sources -- overheard RTS/CTS durations arm its NAV, and μNap naps on
+  them -- and a frame is corrupted at a listener iff an overlapping
+  transmission's source is audible there.  Stations that hear the access
+  point but not each other are hidden terminals (:func:`audibility_from_groups`).
 
-Stations interact through three primitives: :meth:`Medium.transmit` (a
-process occupying the channel for the frame's airtime), and the carrier-
-sense events :meth:`wait_idle` / :meth:`wait_busy` used by DCF backoff.
+Every overlap is traced (``mac/medium/collision``), but collisions are
+judged at the receiver: ``frames_collided`` counts frames no addressee
+got clean because one got a corrupted copy.  The optional
+error model (say :class:`repro.phy.channel.GilbertElliottChannel`) is
+asked once per frame some listener got clean, never for a collided one;
+a frame it rejects reaches nobody.  Stations use :meth:`Medium.transmit`
+(a process occupying the channel for the frame's airtime) and the
+carrier-sense events :meth:`wait_idle` / :meth:`wait_busy`.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Protocol
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Protocol, Set, Tuple
 
 from repro.mac.frames import BROADCAST, Dot11Timing, Frame
 from repro.sim.events import Event
@@ -25,6 +33,30 @@ from repro.sim.events import Timeout as _Timeout
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Simulator
 
+#: ``audibility(source, listener) -> bool``.
+Audibility = Callable[[str, str], bool]
+
+
+def all_hear(source: str, listener: str) -> bool:
+    """Every station hears every other, and each overhears all frames."""
+    return True
+
+
+def audibility_from_groups(*groups: Set[str]) -> Audibility:
+    """Stations hear each other iff they share at least one group.
+
+    ``audibility_from_groups({"A", "B"}, {"B", "C"})`` builds the classic
+    hidden-terminal triple: A-B and B-C hear each other, A-C do not.
+    """
+    group_sets = [set(g) for g in groups]
+
+    def audible(source: str, listener: str) -> bool:
+        if source == listener:
+            return True
+        return any(source in g and listener in g for g in group_sets)
+
+    return audible
+
 
 class FrameSink(Protocol):
     """Anything that can receive frames from the medium."""
@@ -32,19 +64,17 @@ class FrameSink(Protocol):
     address: str
 
     def on_frame(self, frame: Frame) -> None:
-        """Called when a frame addressed to (or broadcast past) us lands."""
+        """Called when a frame addressed to (or overheard by) us lands."""
 
 
 class _Transmission:
-    """Bookkeeping for one frame currently on the air."""
+    """One frame on the air, and the sources of everything overlapping it."""
 
-    __slots__ = ("frame", "start", "end", "collided")
+    __slots__ = ("frame", "overlapping")
 
-    def __init__(self, frame: Frame, start: float, end: float) -> None:
+    def __init__(self, frame: Frame) -> None:
         self.frame = frame
-        self.start = start
-        self.end = end
-        self.collided = False
+        self.overlapping: Optional[Set[str]] = None
 
 
 class Medium:
@@ -59,6 +89,9 @@ class Medium:
     error_model:
         Optional ``f(frame, now) -> bool`` returning whether a
         collision-free frame survives channel errors.
+    audibility:
+        Optional ``f(source, listener) -> bool``; ``None`` means no
+        geometry (see the module docstring).
     """
 
     def __init__(
@@ -66,14 +99,17 @@ class Medium:
         sim: "Simulator",
         timing: Optional[Dot11Timing] = None,
         error_model: Optional[Callable[[Frame, float], bool]] = None,
+        audibility: Optional[Audibility] = None,
     ) -> None:
         self.sim = sim
         self.timing = timing or Dot11Timing()
         self.error_model = error_model
+        self.audibility = audibility
         self._stations: Dict[str, FrameSink] = {}
         self._active: List[_Transmission] = []
-        self._idle_waiters: List[Event] = []
-        self._busy_waiters: List[Event] = []
+        # (listener address, or None for "anywhere"; event), in wait order.
+        self._idle_waiters: List[Tuple[Optional[str], Event]] = []
+        self._busy_waiters: List[Tuple[Optional[str], Event]] = []
         # Statistics.
         self.frames_sent = 0
         self.frames_delivered = 0
@@ -96,10 +132,6 @@ class Medium:
         """Detach a station (frames to it are then dropped silently)."""
         self._stations.pop(address, None)
 
-    @property
-    def station_addresses(self) -> list[str]:
-        return list(self._stations)
-
     # -- carrier sense ------------------------------------------------------
 
     @property
@@ -108,13 +140,13 @@ class Medium:
         return not self._active
 
     def is_idle_for(self, address: Optional[str] = None) -> bool:
-        """Carrier sense at ``address``.
-
-        The base medium has no geometry: every station hears everything,
-        so this is the global idle state.  :class:`repro.mac.spatial.
-        SpatialMedium` overrides it with audibility-aware sensing.
-        """
-        return self.is_idle
+        """Carrier sense at ``address`` (``None``: anywhere)."""
+        if not self._active:
+            return True
+        audible = self.audibility
+        if audible is None or address is None:
+            return False
+        return not any(audible(t.frame.source, address) for t in self._active)
 
     def wait_idle(self, address: Optional[str] = None) -> Event:
         """Event firing when the medium is (or becomes) idle at ``address``."""
@@ -122,14 +154,14 @@ class Medium:
         if self.is_idle_for(address):
             event.succeed()
         else:
-            self._idle_waiters.append(event)
+            self._idle_waiters.append((address, event))
         return event
 
     def wait_busy(self, address: Optional[str] = None) -> Event:
         """Event firing when the *next* transmission audible at
         ``address`` starts."""
         event = Event(self.sim)
-        self._busy_waiters.append(event)
+        self._busy_waiters.append((address, event))
         return event
 
     # -- transmission ----------------------------------------------------------
@@ -138,66 +170,99 @@ class Medium:
         """Put ``frame`` on the air; yield the returned process to wait.
 
         The process completes when the frame's airtime elapses; the return
-        value is ``True`` if the frame was delivered un-collided and
-        error-free to at least one receiver.
+        value is ``True`` if an addressee got the frame clean.
         """
         return self.sim.process(self._transmit_body(frame), name=f"tx#{frame.seq}")
 
     def _transmit_body(self, frame: Frame):
+        sim = self.sim
         airtime = frame.airtime_s(self.timing)
-        start = self.sim._now
-        transmission = _Transmission(frame, start, start + airtime)
+        transmission = _Transmission(frame)
         self.frames_sent += 1
         self.busy_time_s += airtime
-        # Any overlap is a collision, corrupting everyone involved.
-        for other in self._active:
-            other.collided = True
-            transmission.collided = True
-        if transmission.collided:
-            bus = self.sim.trace
+        active = self._active
+        audible = self.audibility
+        source = frame.source
+        if active:
+            transmission.overlapping = {other.frame.source for other in active}
+            for other in active:
+                if other.overlapping is None:
+                    other.overlapping = {source}
+                else:
+                    other.overlapping.add(source)
+            bus = sim.trace
             if bus.enabled:
                 bus.emit(
                     "mac",
                     "medium",
                     "collision",
-                    source=frame.source,
-                    overlapping=len(self._active) + 1,
+                    source=source,
+                    overlapping=len(active) + 1,
                 )
-        was_idle = not self._active
-        self._active.append(transmission)
-        if was_idle:
-            waiters, self._busy_waiters = self._busy_waiters, []
-            for event in waiters:
-                event.succeed(frame)
-        yield _Timeout(self.sim, airtime)
-        self._active.remove(transmission)
-        if not self._active:
-            waiters, self._idle_waiters = self._idle_waiters, []
-            for event in waiters:
-                event.succeed()
+        active.append(transmission)
+        waiters = self._busy_waiters
+        if waiters:
+            keep = []
+            for address, event in waiters:
+                if audible is None or address is None or audible(source, address):
+                    event.succeed(frame)
+                else:
+                    keep.append((address, event))
+            self._busy_waiters = keep
+        yield _Timeout(sim, airtime)
+        active.remove(transmission)
+        waiters = self._idle_waiters
+        if waiters and (not active or audible is not None):
+            keep = []
+            for address, event in waiters:
+                if not active or self.is_idle_for(address):
+                    event.succeed()
+                else:
+                    keep.append((address, event))
+            self._idle_waiters = keep
         return self._complete(transmission)
 
     def _complete(self, transmission: _Transmission) -> bool:
         frame = transmission.frame
-        if transmission.collided:
-            self.frames_collided += 1
-            return False
-        if self.error_model is not None and not self.error_model(frame, self.sim.now):
+        destination = frame.destination
+        audible = self.audibility
+        addressee = self._stations.get(destination)  # None for broadcast
+        if audible is None and destination != BROADCAST:
+            # Nobody overhears: the addressee is the only listener.
+            listeners = () if addressee is None else (addressee,)
+        else:
+            source = frame.source
+            listeners = [
+                station
+                for address, station in self._stations.items()
+                if address != source and (audible is None or audible(source, address))
+            ]
+        overlapping = transmission.overlapping
+        clean = listeners
+        if overlapping is not None:
+            clean = [
+                station
+                for station in listeners
+                if audible is not None
+                and not any(audible(other, station.address) for other in overlapping)
+            ]
+        if (
+            clean
+            and self.error_model is not None
+            and not self.error_model(frame, self.sim.now)
+        ):
             self.frames_errored += 1
             return False
-        delivered = False
-        if frame.destination == BROADCAST:
-            for address, station in list(self._stations.items()):
-                if address != frame.source:
-                    station.on_frame(frame)
-                    delivered = True
+        for station in clean:
+            station.on_frame(frame)
+        if destination == BROADCAST:
+            delivered, heard = bool(clean), bool(listeners)
         else:
-            station = self._stations.get(frame.destination)
-            if station is not None:
-                station.on_frame(frame)
-                delivered = True
+            delivered, heard = addressee in clean, addressee in listeners
         if delivered:
             self.frames_delivered += 1
+        elif heard:  # ... but only a corrupted copy
+            self.frames_collided += 1
         return delivered
 
     def utilisation(self, now: Optional[float] = None) -> float:

@@ -2,9 +2,20 @@
 
 import pytest
 
-from repro.mac import Dot11Timing, Frame, FrameKind, Medium
+from repro.devices import wlan_cf_card
+from repro.mac import (
+    DcfConfig,
+    DcfStation,
+    Dot11Timing,
+    Frame,
+    FrameKind,
+    Medium,
+    all_hear,
+)
 from repro.mac.frames import BROADCAST
-from repro.sim import Simulator
+from repro.obs.bus import TraceBus
+from repro.phy import Radio
+from repro.sim import RandomStreams, Simulator
 
 
 class RecordingSink:
@@ -106,8 +117,17 @@ def test_delivery_happens_at_end_of_airtime():
     assert times[0] == pytest.approx(airtime)
 
 
-def test_overlapping_transmissions_collide():
-    sim, medium = make_medium()
+def check_overlap_collides(audibility):
+    """Two overlapping frames: both corrupted, traced, never shown to
+    the error model; a later clean frame is."""
+    error_model_calls = []
+
+    def error_model(frame, now):
+        error_model_calls.append(frame)
+        return True
+
+    sim = Simulator(trace=TraceBus())
+    medium = Medium(sim, error_model=error_model, audibility=audibility)
     rx_a, rx_b = RecordingSink("a"), RecordingSink("b")
     medium.register(rx_a)
     medium.register(rx_b)
@@ -122,13 +142,37 @@ def test_overlapping_transmissions_collide():
         delivered = yield medium.transmit(data_frame("y", "b", 1500))
         results.append(("tx2", delivered))
 
+    clean = data_frame("x", "a", 100)
+
+    def tx3(sim):
+        yield sim.timeout(0.01)  # long after both
+        delivered = yield medium.transmit(clean)
+        results.append(("tx3", delivered))
+
     sim.process(tx1(sim))
     sim.process(tx2(sim))
+    sim.process(tx3(sim))
     sim.run()
-    assert results == [("tx1", False), ("tx2", False)]
+    assert results == [("tx1", False), ("tx2", False), ("tx3", True)]
     assert medium.frames_collided == 2
-    assert rx_a.frames == []
-    assert rx_b.frames == []
+    assert rx_a.frames == [clean]
+    assert rx_b.frames == ([clean] if audibility is not None else [])
+    # Collided frames never reach the error model, so a stateful channel
+    # (Gilbert-Elliott) draws the same sequence on every kind of medium.
+    assert error_model_calls == [clean]
+    collisions = sim.trace.events(layer="mac", entity="medium", kind="collision")
+    assert [(e.fields["source"], e.fields["overlapping"]) for e in collisions] == [
+        ("y", 2)
+    ]
+
+
+def test_overlapping_transmissions_collide():
+    check_overlap_collides(audibility=None)
+
+
+def test_overlapping_transmissions_collide_where_all_hear():
+    # Judged per receiver, but every receiver hears both senders here.
+    check_overlap_collides(audibility=all_hear)
 
 
 def test_sequential_transmissions_do_not_collide():
@@ -226,8 +270,61 @@ def test_unregister_stops_delivery():
     assert receiver.frames == []
 
 
+@pytest.mark.parametrize(
+    "audibility, overhears", [(None, False), (all_hear, True)],
+    ids=["no-geometry", "all-hear"],
+)
+def test_only_a_relation_lets_bystanders_overhear(audibility, overhears):
+    """Without geometry only the addressee receives a frame; with a
+    relation every audible station overhears it, is charged rx energy
+    for it and arms its NAV from an overheard RTS."""
+    sim = Simulator()
+    medium = Medium(sim, audibility=audibility)
+    streams = RandomStreams(seed=3)
+    sender = DcfStation(
+        sim, medium, "a", rng=streams.stream("a"),
+        config=DcfConfig(rts_threshold_bytes=500),
+    )
+    DcfStation(sim, medium, "b", rng=streams.stream("b"))
+    bystander_radio = Radio(sim, wlan_cf_card(), name="c")
+    impulses = []
+    bystander_radio.add_energy_impulse = impulses.append
+    bystander = DcfStation(
+        sim, medium, "c", rng=streams.stream("c"), radio=bystander_radio
+    )
+    heard = []
+    on_frame = bystander.on_frame
+    bystander.on_frame = lambda frame: (heard.append(frame.kind), on_frame(frame))
+    nav_after_rts = []
+    exchange_end = []
+
+    def body(sim):
+        yield sender.send("b", 1500)
+        exchange_end.append(sim.now)
+
+    def watch(sim):
+        yield medium.wait_busy("c")  # the RTS starts
+        yield medium.wait_idle("c")  # ... and lands
+        yield sim.timeout(0)
+        nav_after_rts.append(bystander._nav_until)
+
+    sim.process(body(sim))
+    sim.process(watch(sim))
+    sim.run()
+    assert sender.frames_delivered == 1
+    if overhears:
+        assert heard == [FrameKind.RTS, FrameKind.CTS, FrameKind.DATA, FrameKind.ACK]
+        assert len(impulses) == 4 and all(e > 0 for e in impulses)
+        # The RTS duration field reserves the air through the final ACK.
+        assert nav_after_rts == [pytest.approx(exchange_end[0])]
+    else:
+        assert heard == []
+        assert impulses == []
+        assert nav_after_rts == [0.0]
+
+
 def test_address_aware_api_on_base_medium_is_global():
-    """The base medium has no geometry: per-address carrier sense is
+    """A medium without geometry: per-address carrier sense is
     just the global state, and address-tagged waiters behave like
     untagged ones."""
     sim, medium = make_medium()

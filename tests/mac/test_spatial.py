@@ -1,12 +1,13 @@
-"""Tests for the spatial medium: hidden terminals and NAV/RTS rescue."""
+"""Tests for a medium with geometry: hidden terminals and NAV/RTS rescue."""
 
 
 from repro.mac import (
     DcfConfig,
     DcfStation,
-    SpatialMedium,
+    Medium,
     audibility_from_groups,
 )
+from repro.obs.bus import TraceBus
 from repro.sim import RandomStreams, Simulator
 
 
@@ -28,7 +29,7 @@ class TestAudibility:
 class TestSpatialSensing:
     def make(self):
         sim = Simulator()
-        medium = SpatialMedium(sim, audibility=hidden_terminal_audibility())
+        medium = Medium(sim, audibility=hidden_terminal_audibility())
         return sim, medium
 
     def test_everyone_idle_initially(self):
@@ -79,8 +80,8 @@ class TestSpatialSensing:
 
 def run_hidden_terminal(rts_threshold, n_frames=25, seed=5):
     """A and C simultaneously push frames to the AP 'b'."""
-    sim = Simulator()
-    medium = SpatialMedium(sim, audibility=hidden_terminal_audibility())
+    sim = Simulator(trace=TraceBus())
+    medium = Medium(sim, audibility=hidden_terminal_audibility())
     streams = RandomStreams(seed=seed)
     received = []
     DcfStation(
@@ -105,6 +106,9 @@ def run_hidden_terminal(rts_threshold, n_frames=25, seed=5):
         "drops": drops,
         "retries": retries,
         "collided": medium.frames_collided,
+        "collision_events": len(
+            sim.trace.events(layer="mac", entity="medium", kind="collision")
+        ),
     }
 
 
@@ -114,6 +118,8 @@ class TestHiddenTerminal:
         # Hidden senders cannot defer to each other: collisions abound.
         assert result["collided"] > 10
         assert result["retries"] > 10
+        # Overlaps are traced as on a geometry-free medium.
+        assert result["collision_events"] > 0
 
     def test_rts_cts_nav_rescues_the_exchange(self):
         bare = run_hidden_terminal(rts_threshold=None)
